@@ -11,7 +11,6 @@ from .constants import (
     CaseParams,
     GeneralizedKantorovich,
     SandwichBounds,
-    bound_constant,
     generalized_kantorovich,
     kantorovich,
     weights,
@@ -32,6 +31,7 @@ from .verifier import (
     REGISTRY,
     InequalityCase,
     Verdict,
+    bound_constant,
     check_case,
     compare_constants,
     get_entry,

@@ -1,6 +1,7 @@
 """Scalar constants: Kantorovich K(h), its weighted generalization
 K(m, M, nu) with the mu0/lambda0 companions, the exponents r and r1, and
-the per-inequality bound constants.
+the formulas of the per-inequality bound constants (the registry table in
+`verifier` pairs each with its entry's hypothesis and sides).
 
 Also home to the two scalar hypothesis carriers, SandwichBounds and
 CaseParams, shared by the sampler and the verifier.
@@ -16,9 +17,7 @@ from .errors import (
     BadBounds,
     ConfigInvalid,
     DegenerateInterval,
-    HypothesisNotMet,
     NonPositiveArgument,
-    UnknownInequality,
     WeightOutOfRange,
 )
 
@@ -228,13 +227,14 @@ def generalized_kantorovich(m: float, M: float, nu: float) -> GeneralizedKantoro
 # ---------------------------------------------------------------------------
 # Per-inequality bound constants.
 #
-# Keys are the registry base names; the two displayed conclusions of a
+# Each `_c_*` function evaluates one registry entry's constant from its
+# bounds and case parameters; the registry table in `verifier` pairs it
+# with the entry's hypothesis and sides.  The two displayed conclusions of a
 # theorem (map of the mean vs. mean of the map images) share one constant.
-# Each entry records which bounds kinds its hypothesis accepts and the
-# parameter domain; `common` is additionally accepted everywhere for
-# constant *comparison* purposes, reading h' := h (the degenerate sandwich
-# m = m', M' = M) and, for the reverse-Ando family, reading (m, M) as the
-# relevant condition data directly (h := M/m).
+# Besides an entry's own bounds kinds, comparisons also evaluate constants on
+# `common` bounds, reading h' := h (the degenerate sandwich m = m', M' = M)
+# and, for the reverse-Ando family, reading (m, M) as the relevant
+# condition data directly (h := M/m).
 # ---------------------------------------------------------------------------
 
 SANDWICH = ("sandwich_B_low", "sandwich_A_low")
@@ -246,15 +246,6 @@ def _hp_of(bounds: SandwichBounds) -> float:
     return bounds.h  # common bounds: h' := h
 
 
-def _require(cond: bool, clause: str):
-    if not cond:
-        raise HypothesisNotMet(clause)
-
-
-def _check_p_min(p: float, p_min: float, name: str):
-    _require(p >= p_min, f"{name} requires p >= {p_min:g}, got p = {p:g}")
-
-
 def _c_lin(bounds, prm):
     return kantorovich(bounds.h)
 
@@ -264,18 +255,15 @@ def _c_lin_squared(bounds, prm):
 
 
 def _c_lin_power(bounds, prm):
-    _require(0.0 < prm.p <= 2.0, f"requires 0 < p <= 2, got p = {prm.p:g}")
     return kantorovich(bounds.h) ** prm.p
 
 
 def _c_thm11(bounds, prm):
-    _check_p_min(prm.p, 2.0, "thm1.1")
     m, M = bounds.outer()
     return ((M + m) ** 2 / (4.0 ** (2.0 / prm.p) * M * m)) ** prm.p
 
 
 def _c_thm12(bounds, prm):
-    _require(prm.p > 0.0, f"thm1.2 requires p > 0, got p = {prm.p:g}")
     m, M = bounds.outer()
     alpha = max(
         (M + m) ** 2 / (4.0 * M * m),
@@ -285,7 +273,6 @@ def _c_thm12(bounds, prm):
 
 
 def _c_thm13(bounds, prm):
-    _check_p_min(prm.p, 2.0, "thm1.3")
     r, _ = weights(prm.nu)
     K = kantorovich(bounds.h)
     Kp = kantorovich(_hp_of(bounds))
@@ -293,13 +280,11 @@ def _c_thm13(bounds, prm):
 
 
 def _c_thm24(bounds, prm):
-    _require(prm.p == 2.0, f"thm2.4 is the squared level, p = 2; got p = {prm.p:g}")
     _, r1 = weights(prm.nu)
     return (kantorovich(bounds.h) / kantorovich(math.sqrt(_hp_of(bounds))) ** r1) ** 2
 
 
 def _c_cor26(bounds, prm):
-    _require(0.0 < prm.p <= 2.0, f"cor2.6 requires 0 < p <= 2, got p = {prm.p:g}")
     _, r1 = weights(prm.nu)
     return (
         kantorovich(bounds.h) / kantorovich(math.sqrt(_hp_of(bounds))) ** r1
@@ -307,7 +292,6 @@ def _c_cor26(bounds, prm):
 
 
 def _c_thm27(bounds, prm):
-    _check_p_min(prm.p, 2.0, "thm2.7")
     _, r1 = weights(prm.nu)
     K = kantorovich(bounds.h)
     Ks = kantorovich(math.sqrt(_hp_of(bounds)))
@@ -315,14 +299,12 @@ def _c_thm27(bounds, prm):
 
 
 def _c_zhang(bounds, prm):
-    _check_p_min(prm.p, 4.0, "zhang")
     m, M = bounds.outer()
     K = kantorovich(bounds.h)
     return (K * (M * M + m * m) / (4.0 ** (2.0 / prm.p) * M * m)) ** prm.p
 
 
 def _c_zhang_refined(bounds, prm):
-    _check_p_min(prm.p, 4.0, "zhang-refined")
     m, M = bounds.outer()
     r, _ = weights(prm.nu)
     K = kantorovich(bounds.h)
@@ -330,13 +312,7 @@ def _c_zhang_refined(bounds, prm):
     return (K * (M * M + m * m) / (4.0 ** (2.0 / prm.p) * M * m * Kp ** r)) ** prm.p
 
 
-def _c_thm29(bounds, prm):
-    _check_p_min(prm.p, 4.0, "thm2.9")
-    return _c_zhang_refined(bounds, prm)
-
-
 def _c_thm29_proof(bounds, prm):
-    _check_p_min(prm.p, 4.0, "thm2.9-proof")
     m, M = bounds.outer()
     _, r1 = weights(prm.nu)
     K = kantorovich(bounds.h)
@@ -346,7 +322,6 @@ def _c_thm29_proof(bounds, prm):
 
 def _c_thm210(bounds, prm):
     a = prm.alpha
-    _require(prm.p >= 2.0 * a, f"thm2.10 requires p >= 2*alpha, got p = {prm.p:g}, alpha = {a:g}")
     m, M = bounds.outer()
     _, r1 = weights(prm.nu)
     K = kantorovich(bounds.h)
@@ -403,10 +378,6 @@ def _c_thm33_hprime(bounds, prm):
 def _c_thm34(bounds, prm):
     r, _ = weights(prm.nu)
     if bounds.kind == "reverse_ando":
-        _require(
-            bounds.M1 < bounds.m2,
-            f"thm3.4 requires M1 < m2, got M1 = {bounds.M1:g}, m2 = {bounds.m2:g}",
-        )
         mm, MM = _reverse_ratios(bounds)
         h = bounds.m2 ** 2 / bounds.M1 ** 2
         return _gk_inv(mm ** 2, MM ** 2, prm.nu) * kantorovich(h) ** (-r)
@@ -416,84 +387,3 @@ def _c_thm34(bounds, prm):
 
 def _c_one(bounds, prm):
     return 1.0
-
-
-# base name -> (accepted instance bounds kinds, constant function)
-_CONSTANT_TABLE = {
-    "amgm": (BOUND_KINDS, _c_one),
-    "lin": (("common",), _c_lin),
-    "lin-squared": (("common",), _c_lin_squared),
-    "lin-power": (("common",), _c_lin_power),
-    "lh": (SANDWICH, _c_one),
-    "lh-p2-demo": (SANDWICH, _c_one),
-    "thm1.1": (("common",), _c_thm11),
-    "thm1.2": (("common",), _c_thm12),
-    "thm1.3": (("sandwich_A_low",), _c_thm13),
-    "choi": (BOUND_KINDS, _c_one),
-    "lemma2.2-i": (BOUND_KINDS, _c_one),
-    "lemma2.2-ii": (BOUND_KINDS, _c_one),
-    "lemma2.2-iii": (BOUND_KINDS, _c_one),
-    "lemma2.3": (SANDWICH, _c_one),
-    "thm2.4": (SANDWICH, _c_thm24),
-    "cor2.6": (SANDWICH, _c_cor26),
-    "thm2.7": (SANDWICH, _c_thm27),
-    "norm-refinement": (("common",) + SANDWICH, _c_one),
-    "zhang": (("common",), _c_zhang),
-    "zhang-refined": (("sandwich_A_low",), _c_zhang_refined),
-    "thm2.9": (SANDWICH, _c_thm29),
-    "thm2.9-proof": (SANDWICH, _c_thm29_proof),
-    "thm2.10": (SANDWICH, _c_thm210),
-    "eq217": (BOUND_KINDS, _c_one),
-    "ando": (BOUND_KINDS, _c_one),
-    "lee": (("reverse_ando",), _c_lee),
-    "lee-printed": (("reverse_ando",), _c_lee_printed),
-    "seo": (("reverse_ando",), _c_seo),
-    "thm3.3": (SANDWICH, _c_thm33),
-    "thm3.3-hprime": (SANDWICH, _c_thm33_hprime),
-    "thm3.4": (("reverse_ando",), _c_thm34),
-}
-
-
-def base_name(ineq_id: str) -> str:
-    """Strip the -phi-inside / -phi-outside form suffix."""
-    for suffix in ("-phi-inside", "-phi-outside"):
-        if ineq_id.endswith(suffix):
-            return ineq_id[: -len(suffix)]
-    return ineq_id
-
-
-def known_bases() -> tuple[str, ...]:
-    return tuple(_CONSTANT_TABLE)
-
-
-def instance_kinds(ineq_id: str) -> tuple[str, ...]:
-    """Bounds kinds acceptable for concrete instances of this inequality."""
-    base = base_name(ineq_id)
-    if base not in _CONSTANT_TABLE:
-        raise UnknownInequality(f"no registry entry named {ineq_id!r}")
-    return tuple(_CONSTANT_TABLE[base][0])
-
-
-def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> float:
-    """Scalar multiplier the inequality places in front of its right side.
-
-    The hypothesis gate accepts the entry's own bounds kinds plus `common`
-    (comparison mode, see module docstring); parameter-domain violations
-    raise HypothesisNotMet.
-    """
-    base = base_name(ineq_id)
-    if base not in _CONSTANT_TABLE:
-        raise UnknownInequality(f"no registry entry named {ineq_id!r}")
-    kinds, fn = _CONSTANT_TABLE[base]
-    if bounds.kind not in kinds:
-        # comparison mode: common bounds work everywhere (h' := h); entries
-        # stated on common bounds also evaluate on sandwich data by reading
-        # the outer pair, so refinements can be compared on shared bounds
-        widened = bounds.kind == "common" or (
-            bounds.kind in SANDWICH and set(kinds) == {"common"}
-        )
-        if not widened:
-            raise HypothesisNotMet(
-                f"{base} expects bounds of kind {'/'.join(kinds)}, got {bounds.kind}"
-            )
-    return fn(bounds, params)

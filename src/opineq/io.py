@@ -37,21 +37,25 @@ def matrix_to_obj(A: np.ndarray) -> dict:
     return obj
 
 
-def obj_to_matrix(obj: dict) -> np.ndarray:
+# What a malformed JSON payload makes numpy and the builtins raise.
+_BAD_PAYLOAD = (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError)
+
+
+def _obj_to_array(obj: dict, shape_keys: tuple[str, ...]) -> np.ndarray:
     try:
-        n = int(obj["n"])
+        shape = tuple(int(obj[k]) for k in shape_keys)
         re = np.asarray(obj["re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpec(f"bad matrix payload: {exc}") from exc
-    if re.shape != (n, n):
-        raise MalformedSpec(f"re field has shape {re.shape}, expected ({n}, {n})")
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=float)
-        if im.shape != (n, n):
-            raise MalformedSpec(f"im field has shape {im.shape}, expected ({n}, {n})")
-    else:
-        im = np.zeros((n, n))
+        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros(re.shape)
+    except _BAD_PAYLOAD as exc:
+        raise MalformedSpec(f"bad matrix payload: {exc!r}") from exc
+    for name, part in (("re", re), ("im", im)):
+        if part.shape != shape:
+            raise MalformedSpec(f"{name} field has shape {part.shape}, expected {shape}")
     return re + 1j * im
+
+
+def obj_to_matrix(obj: dict) -> np.ndarray:
+    return _obj_to_array(obj, ("n", "n"))
 
 
 def rect_to_obj(V: np.ndarray) -> dict:
@@ -65,20 +69,7 @@ def rect_to_obj(V: np.ndarray) -> dict:
 
 
 def obj_to_rect(obj: dict) -> np.ndarray:
-    try:
-        shape = (int(obj["rows"]), int(obj["cols"]))
-        re = np.asarray(obj["re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpec(f"bad array payload: {exc}") from exc
-    if re.shape != shape:
-        raise MalformedSpec(f"re field has shape {re.shape}, expected {shape}")
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=float)
-        if im.shape != shape:
-            raise MalformedSpec(f"im field has shape {im.shape}, expected {shape}")
-    else:
-        im = np.zeros(shape)
-    return re + 1j * im
+    return _obj_to_array(obj, ("rows", "cols"))
 
 
 def map_to_obj(phi: MapSpec) -> dict:
@@ -98,18 +89,18 @@ def obj_to_map(obj: dict) -> MapSpec:
     try:
         kind = obj["kind"]
         n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpec(f"bad map payload: {exc}") from exc
-    if kind == "compression":
-        return MapSpec(kind, n, obj_to_rect(obj["V"]))
-    if kind == "pinching":
-        return MapSpec(kind, n, tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
-    if kind == "unitary_mixture":
-        terms = tuple(
-            (float(t["weight"]), obj_to_matrix(t["U"])) for t in obj["terms"]
-        )
-        return MapSpec(kind, n, terms)
-    return MapSpec(kind, n)
+        if kind == "compression":
+            return MapSpec(kind, n, obj_to_rect(obj["V"]))
+        if kind == "pinching":
+            return MapSpec(kind, n, tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
+        if kind == "unitary_mixture":
+            terms = tuple(
+                (float(t["weight"]), obj_to_matrix(t["U"])) for t in obj["terms"]
+            )
+            return MapSpec(kind, n, terms)
+        return MapSpec(kind, n)
+    except _BAD_PAYLOAD as exc:
+        raise MalformedSpec(f"bad map payload: {exc!r}") from exc
 
 
 def instance_to_obj(inst: Instance) -> dict:
@@ -131,8 +122,8 @@ def obj_to_instance(obj: dict) -> Instance:
             seed=int(obj["seed"]),
             n=int(obj["n"]),
         )
-    except KeyError as exc:
-        raise MalformedSpec(f"instance payload missing field {exc}") from exc
+    except _BAD_PAYLOAD as exc:
+        raise MalformedSpec(f"bad instance payload: {exc!r}") from exc
 
 
 def save_json(path: str, obj) -> None:

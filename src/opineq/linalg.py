@@ -75,9 +75,11 @@ def require_hermitian(A) -> np.ndarray:
     """Validate the Hermitian-symmetry invariant and return the matrix."""
     M = as_matrix(A)
     scale = 1.0 + (np.max(np.abs(M)) if M.size else 0.0)
-    if np.max(np.abs(M - M.conj().T)) > HERM_TOL * scale:
+    # written so that a NaN or infinite entry fails it too
+    if not np.max(np.abs(M - M.conj().T)) <= HERM_TOL * scale:
         raise NonHermitianInput(
-            f"matrix deviates from Hermitian symmetry beyond {HERM_TOL:g}*(1+max|entry|)"
+            f"matrix has a non-finite entry or deviates from Hermitian symmetry "
+            f"beyond {HERM_TOL:g}*(1+max|entry|)"
         )
     return M
 

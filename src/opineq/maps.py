@@ -38,6 +38,9 @@ class MapSpec:
     n: int
     payload: Any = None  # per-kind; see module docstring
 
+    def __post_init__(self):
+        _structural_check(self)
+
     @property
     def out_dim(self) -> int:
         if self.kind == "compression":
@@ -55,8 +58,12 @@ class MapSpec:
 
 
 def _structural_check(phi: MapSpec):
+    """Certify a spec when it is constructed; the comparisons are written so
+    that NaN fails them."""
     if phi.kind not in MAP_KINDS:
         raise UnknownKind(f"unknown map kind {phi.kind!r}")
+    if phi.n < 1:
+        raise MalformedSpec(f"map dimension must be >= 1, got {phi.n}")
     if phi.kind == "compression":
         V = phi.payload
         if not isinstance(V, np.ndarray) or V.ndim != 2 or V.shape[0] != phi.n:
@@ -65,12 +72,11 @@ def _structural_check(phi: MapSpec):
         if not 1 <= k <= phi.n:
             raise MalformedSpec(f"compression rank {k} outside [1, {phi.n}]")
         resid = np.max(np.abs(V.conj().T @ V - np.eye(k)))
-        if resid > STRUCT_TOL:
+        if not resid <= STRUCT_TOL:
             raise MalformedSpec(f"compression columns not isometric: residual {resid:.3e}")
     elif phi.kind == "pinching":
-        blocks = phi.payload
-        seen = sorted(i for b in blocks for i in b)
-        if seen != list(range(phi.n)):
+        seen = sorted(i for b in phi.payload for i in b)
+        if len(seen) != phi.n or seen != list(range(phi.n)):
             raise MalformedSpec("pinching blocks must partition the index set")
     elif phi.kind == "unitary_mixture":
         terms = phi.payload
@@ -78,16 +84,16 @@ def _structural_check(phi: MapSpec):
             raise MalformedSpec("unitary_mixture needs at least one term")
         total = 0.0
         for w, U in terms:
-            if w <= 0.0:
+            if not w > 0.0:
                 raise MalformedSpec(f"mixture weight {w} is not positive")
             total += w
             U = np.asarray(U)
             if U.shape != (phi.n, phi.n):
                 raise MalformedSpec("mixture unitary has the wrong shape")
             resid = np.max(np.abs(U.conj().T @ U - np.eye(phi.n)))
-            if resid > STRUCT_TOL:
+            if not resid <= STRUCT_TOL:
                 raise MalformedSpec(f"mixture factor not unitary: residual {resid:.3e}")
-        if abs(total - 1.0) > STRUCT_TOL:
+        if not abs(total - 1.0) <= STRUCT_TOL:
             raise MalformedSpec(f"mixture weights sum to {total!r}, not 1")
 
 
@@ -103,18 +109,15 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
     if phi.kind == "trace_average":
         return (np.trace(M) / phi.n) * identity(phi.n)
     if phi.kind == "compression":
-        _structural_check(phi)
         V = phi.payload
         return V.conj().T @ M @ V
     if phi.kind == "pinching":
-        _structural_check(phi)
         out = np.zeros_like(M)
         for block in phi.payload:
             idx = np.asarray(block)
             out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
         return out
     if phi.kind == "unitary_mixture":
-        _structural_check(phi)
         out = np.zeros_like(M)
         for w, U in phi.payload:
             out += w * (U @ M @ U.conj().T)
@@ -136,7 +139,6 @@ def validate_map(phi: MapSpec, trials: int = 20, seed: int = 0) -> MapValidation
     """Certify unitality, positivity on random PSD inputs, and linearity."""
     if trials < 1:
         raise MalformedSpec(f"need trials >= 1, got {trials}")
-    _structural_check(phi)
     k = phi.out_dim
     unital = op_norm(apply_map(phi, identity(phi.n)) - identity(k))
     rng = SplitMix64(derive_seed(seed, "validate", phi.kind))

@@ -38,6 +38,7 @@ from .verifier import (
     check_case,
     get_entry,
     registry_ids,
+    require_hypothesis,
     scalar_lemma_gap,
 )
 
@@ -99,16 +100,13 @@ class SuiteConfig:
             if not self.mutate[key] > 0.0:
                 raise ConfigInvalid(f"mutate factor for {key} must be > 0")
         if self.fixed_bounds is not None:
+            # every entry's hypothesis, at the first trial's parameters
             for ineq_id in ids:
                 entry = get_entry(ineq_id)
-                if self.fixed_bounds.kind not in entry.kinds:
-                    raise ConfigInvalid(
-                        f"fixed bounds of kind {self.fixed_bounds.kind} do not "
-                        f"satisfy the hypothesis of {ineq_id} "
-                        f"(needs {'/'.join(entry.kinds)})"
-                    )
-                if entry.base == "thm3.4" and not self.fixed_bounds.M1 < self.fixed_bounds.m2:
-                    raise ConfigInvalid("thm3.4 needs fixed bounds with M1 < m2")
+                try:
+                    require_hypothesis(entry, self.fixed_bounds, _case_params(self, entry, 0))
+                except HypothesisNotMet as exc:
+                    raise ConfigInvalid(str(exc)) from exc
 
     def hash_payload(self) -> dict:
         """Everything that determines the report; workers excluded."""
@@ -140,7 +138,7 @@ def _draw_bounds(entry: RegistryEntry, kind: str, rng: SplitMix64) -> SandwichBo
     if kind == "reverse_ando":
         m1 = rng.log_uniform(0.5, 1.5)
         M1 = m1 * rng.log_uniform(1.0, 2.5)
-        if entry.base == "thm3.4":
+        if entry.separated:
             m2 = M1 * rng.log_uniform(1.05, 2.2)
         else:
             m2 = rng.log_uniform(0.5, 1.5)

@@ -1,8 +1,15 @@
 """The inequality registry and the per-instance checker.
 
-Every displayed inequality is a registry entry.  Where a theorem states two
-conclusions — the map of the mean versus the mean of the map images — each
-is its own entry, suffixed ``-phi-inside`` (right side built from
+Every displayed inequality is one row of ``_TABLE``, keyed by its base name.
+A row holds the whole statement: the bounds kinds its spectral hypothesis
+accepts, its parameter domain, its constant (a scalar formula from
+``constants``), and a ``sides`` function that builds both sides of the
+inequality.  It also says how the suite exercises the entry.  Adding an
+inequality means adding one row.
+
+Where a theorem states two conclusions — the map of the mean versus the
+mean of the map images — its row has ``both_forms`` set and becomes two
+registry entries, suffixed ``-phi-inside`` (right side built from
 Phi(A #_nu B)) and ``-phi-outside`` (right side built from
 Phi(A) #_nu Phi(B)).
 
@@ -24,13 +31,13 @@ weakened check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import constants as C
-from .constants import CaseParams, SandwichBounds, bound_constant, kantorovich, weights
+from .constants import CaseParams, SandwichBounds, kantorovich, weights
 from .errors import (
     HypothesisNotMet,
     IncompatibleEntries,
@@ -51,235 +58,273 @@ NU_GRID = tuple(i / 10.0 for i in range(11))
 ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 
 
+class Operands(NamedTuple):
+    """What a row's `sides` function reads: the pair, the map, the bounds,
+    the resolved exponents, the row's constant, and the displayed form."""
+
+    A: np.ndarray
+    B: np.ndarray
+    phi: Optional[MapSpec]
+    bounds: SandwichBounds
+    nu: float
+    p: float
+    alpha: float
+    c: float
+    outside: bool
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
-    """Metadata for one inequality.
+    """One inequality: its hypothesis, constant and sides, and how the
+    suite exercises it.
 
+    kinds: the bounds kinds the spectral hypothesis accepts.
+    sides: Operands -> ("loewner", lhs, rhs), checked as lhs <= rhs, or
+    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= rhs_norm.
+    constant: (bounds, params) -> the scalar the statement places in front
+    of its right side.
+    domain: (bounds, params) -> None, or the clause of the hypothesis the
+    case violates (spectral clauses beyond the kind, and the power range).
     nu_mode: "grid" (the weight is a free parameter), "half" (the display
     fixes nu = 1/2), or "any" (nu does not enter; echoed only).
     p_grid: powers exercised by the default suite — the minimal admissible
     power and minimal + 1.5 where a minimum exists, a documented two-point
     grid for interval-constrained powers.  "2a" means {2 alpha, 2 alpha + 1.5}.
+    both_forms: the table row expands into -phi-inside and -phi-outside
+    entries; `outside` marks the latter.
+    separated: reverse-Ando bounds are drawn with M1 < m2.
     """
 
     ineq_id: str
     summary: str
-    form: str = "loewner"        # "loewner" | "norm"
+    kinds: tuple[str, ...]
+    sides: Callable[[Operands], tuple]
+    constant: Callable = C._c_one
+    domain: Optional[Callable] = None
     uses_phi: bool = True
     nu_mode: str = "grid"
     p_grid: tuple | str = (1.0,)
     needs_alpha: bool = False
     asserted: bool = True
-
-    @property
-    def base(self) -> str:
-        return C.base_name(self.ineq_id)
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return C.instance_kinds(self.ineq_id)
+    both_forms: bool = False
+    outside: bool = False
+    separated: bool = False
 
 
-def _both_forms(base, summary, **kw):
-    return [
-        RegistryEntry(f"{base}-phi-inside", summary + " (right side from the mapped mean)", **kw),
-        RegistryEntry(f"{base}-phi-outside", summary + " (right side from the mean of map images)", **kw),
-    ]
+ALL_KINDS = C.BOUND_KINDS
+COMMON = ("common",)
+SANDWICH = C.SANDWICH
+A_LOW = ("sandwich_A_low",)
+REVERSE = ("reverse_ando",)
 
 
-def _build_registry() -> dict[str, RegistryEntry]:
-    entries: list[RegistryEntry] = [
-        RegistryEntry(
-            "amgm",
-            "weighted arithmetic-geometric mean inequality A #_nu B <= A nabla_nu B",
-            uses_phi=False,
-        ),
-        RegistryEntry(
-            "lin",
-            "reverse AM-GM under a positive unital map: Phi(A nabla B) <= K(h) Phi(A # B)",
-            nu_mode="half",
-        ),
-        *_both_forms(
-            "lin-squared",
-            "squared reverse AM-GM with constant K(h)^2",
-            nu_mode="half",
-            p_grid=(2.0,),
-        ),
-        *_both_forms(
-            "lin-power",
-            "reverse AM-GM at powers 0 < p <= 2 with constant K(h)^p",
-            nu_mode="half",
-            p_grid=(0.5, 2.0),
-        ),
-        RegistryEntry(
-            "lh",
-            "power monotonicity: X <= Y implies X^p <= Y^p for 0 < p <= 1",
-            uses_phi=False,
-            nu_mode="any",
-            p_grid=(0.5, 1.0),
-        ),
-        RegistryEntry(
-            "lh-p2-demo",
-            "power monotonicity tried at p = 2 (recorded counterexample feed, not asserted)",
-            uses_phi=False,
-            nu_mode="any",
-            p_grid=(2.0,),
-            asserted=False,
-        ),
-        *_both_forms(
-            "thm1.1",
-            "reverse AM-GM at powers p >= 2 with constant ((M+m)^2 / (4^{2/p} M m))^p",
-            nu_mode="half",
-            p_grid=(2.0, 3.5),
-        ),
-        *_both_forms(
-            "thm1.2",
-            "bracket reverse inequality at any p > 0, constant max{K(h), (M+m)^2/(4^{2/p}Mm)}^p",
-            p_grid=(0.5, 2.0),
-        ),
-        *_both_forms(
-            "thm1.3",
-            "separated-spectra reverse inequality, constant (K(h)/(4^{2/p-1} K^r(h')))^p, p >= 2",
-            p_grid=(2.0, 3.5),
-        ),
-        RegistryEntry(
-            "choi",
-            "map of the inverse dominates the inverse of the map: Phi(A)^{-1} <= Phi(A^{-1})",
-            nu_mode="any",
-        ),
-        RegistryEntry(
-            "lemma2.2-i",
-            "norm bound ||A B|| <= (1/4) ||A + B||^2 for positive A, B",
-            form="norm",
-            uses_phi=False,
-            nu_mode="any",
-        ),
-        RegistryEntry(
-            "lemma2.2-ii",
-            "norm bound ||A^a + B^a|| <= ||(A + B)^a||, exercised for a >= 1",
-            form="norm",
-            uses_phi=False,
-            nu_mode="any",
-            needs_alpha=True,
-        ),
-        RegistryEntry(
-            "lemma2.2-iii",
-            "A <= t B at t = ||A^{1/2} B^{-1/2}||^2 (the norm criterion, checked at its tight constant)",
-            uses_phi=False,
-            nu_mode="any",
-        ),
-        RegistryEntry(
-            "lemma2.3",
-            "scalar refinement transferred to inverses: 2r(AM-GM defect) + K^{r1}(sqrt(h')) (A^{-1} #_nu B^{-1}) <= A^{-1} nabla_nu B^{-1}",
-            uses_phi=False,
-        ),
-        *_both_forms(
-            "thm2.4",
-            "squared bracket reverse inequality with constant (K(h)/K^{r1}(sqrt(h')))^2",
-            p_grid=(2.0,),
-        ),
-        *_both_forms(
-            "cor2.6",
-            "bracket reverse inequality at 0 < p <= 2 with constant (K(h)/K^{r1}(sqrt(h')))^p",
-            p_grid=(0.5, 2.0),
-        ),
-        *_both_forms(
-            "thm2.7",
-            "bracket reverse inequality at p >= 2 with constant (K(h)/(4^{2/p-1} K^{r1}(sqrt(h'))))^p",
-            p_grid=(2.0, 3.5),
-        ),
-        RegistryEntry(
-            "norm-refinement",
-            "operator-norm refinement: ||Phi^p(A nabla_nu B)|| <= ||Phi^p(bracket)||, p >= 1",
-            form="norm",
-            p_grid=(1.0, 2.5),
-        ),
-        *_both_forms(
-            "zhang",
-            "reverse AM-GM at p >= 4 with constant (K(h)(M^2+m^2)/(4^{2/p} M m))^p",
-            nu_mode="half",
-            p_grid=(4.0, 5.5),
-        ),
-        *_both_forms(
-            "zhang-refined",
-            "separated-spectra sharpening of the p >= 4 reverse with divisor K^r(h')",
-            p_grid=(4.0, 5.5),
-        ),
-        *_both_forms(
-            "thm2.9",
-            "bracket form of the p >= 4 reverse with divisor K^r(h') (displayed constant)",
-            p_grid=(4.0, 5.5),
-        ),
-        *_both_forms(
-            "thm2.9-proof",
-            "bracket form of the p >= 4 reverse with the proof-side divisor K^{r1}(sqrt(h'))",
-            p_grid=(4.0, 5.5),
-            asserted=False,
-        ),
-        *_both_forms(
-            "thm2.10",
-            "alpha-interpolated bracket reverse, constant (K^{-r1 a/2}(sqrt(h')) K^{a/2}(h)(M^a+m^a))^{2p/a}/(16 M^p m^p)",
-            p_grid="2a",
-            needs_alpha=True,
-        ),
-        RegistryEntry(
-            "eq217",
-            "map of the geometric mean is dominated: Phi(A # B) <= Phi(A) # Phi(B)",
-            nu_mode="half",
-        ),
-        RegistryEntry(
-            "ando",
-            "weighted map domination: Phi(A #_nu B) <= Phi(A) #_nu Phi(B)",
-        ),
-        RegistryEntry(
-            "lee",
-            "reverse of the geometric-mean domination, constant (m+M)/(2 sqrt(mM)) in the cross ratios",
-            nu_mode="half",
-        ),
-        RegistryEntry(
-            "lee-printed",
-            "the same reverse with the constant exactly as printed, (sqrt(M)+sqrt(m))/(2 sqrt(Mm))",
-            nu_mode="half",
-            asserted=False,
-        ),
-        RegistryEntry(
-            "seo",
-            "weighted reverse of the map domination with constant K(m, M, nu)^{-1}",
-        ),
-        RegistryEntry(
-            "thm3.3",
-            "mean comparison A nabla_nu B >= K^r(h) (A #_nu B) with the outer ratio, as printed",
-            uses_phi=False,
-            asserted=False,
-        ),
-        RegistryEntry(
-            "thm3.3-hprime",
-            "mean comparison A nabla_nu B >= K^r(h') (A #_nu B) with the inner ratio",
-            uses_phi=False,
-        ),
-        RegistryEntry(
-            "thm3.4",
-            "claimed sharpening of the weighted reverse by the extra factor K(h)^{-r}",
-        ),
-    ]
-    reg = {}
-    for e in entries:
-        if e.ineq_id in reg:
-            raise ValueError(f"duplicate registry id {e.ineq_id}")
-        C.instance_kinds(e.ineq_id)  # fail fast if the constant table disagrees
-        reg[e.ineq_id] = e
-    return reg
+# --- domains: None when the case is inside, else the violated clause -------
+
+def _p_is(value):
+    return lambda bounds, prm: None if prm.p == value else f"p = {value:g}, got p = {prm.p:g}"
 
 
-REGISTRY: dict[str, RegistryEntry] = _build_registry()
+def _p_at_least(lo):
+    return lambda bounds, prm: None if prm.p >= lo else f"p >= {lo:g}, got p = {prm.p:g}"
 
-# Constant-ratio claims asserted by the suite: constant(a) / constant(b) <= 1
-# on any shared hypothesis set.
-REFINEMENT_CLAIMS = (
-    ("thm2.7", "thm1.1"),
-    ("thm2.9", "zhang"),
-    ("thm3.4", "seo"),
-)
+
+def _p_up_to(hi):
+    return lambda bounds, prm: (
+        None if 0.0 < prm.p <= hi else f"0 < p <= {hi:g}, got p = {prm.p:g}"
+    )
+
+
+def _p_positive(bounds, prm):
+    return None if prm.p > 0.0 else f"p > 0, got p = {prm.p:g}"
+
+
+def _p_at_least_2alpha(bounds, prm):
+    if prm.p >= 2.0 * prm.alpha:
+        return None
+    return f"p >= 2*alpha, got p = {prm.p:g}, alpha = {prm.alpha:g}"
+
+
+def _separated(bounds, prm):
+    if bounds.kind != "reverse_ando" or bounds.M1 < bounds.m2:
+        return None  # comparison mode on common bounds reads h := M/m
+    return f"M1 < m2, got M1 = {bounds.M1:g}, m2 = {bounds.m2:g}"
+
+
+# --- sides ------------------------------------------------------------------
+
+def _amgm(x):
+    return "loewner", geometric_mean(x.A, x.B, x.nu), arithmetic_mean(x.A, x.B, x.nu)
+
+
+def _power_monotone(x):
+    lo_op, hi_op = (x.B, x.A) if x.bounds.kind == "sandwich_B_low" else (x.A, x.B)
+    return "loewner", matrix_power(lo_op, x.p), matrix_power(hi_op, x.p)
+
+
+def _choi(x):
+    pa = apply_map(x.phi, x.A)
+    return "loewner", matrix_power(pa, -1.0), apply_map(x.phi, matrix_power(x.A, -1.0))
+
+
+def _lemma22_i(x):
+    return "norm", spectral_norm(x.A @ x.B), 0.25 * op_norm(x.A + x.B) ** 2
+
+
+def _lemma22_ii(x):
+    a = x.alpha
+    lhs = op_norm(matrix_power(x.A, a) + matrix_power(x.B, a))
+    return "norm", lhs, op_norm(matrix_power(x.A + x.B, a))
+
+
+def _lemma22_iii(x):
+    t = spectral_norm(matrix_power(x.A, 0.5) @ matrix_power(x.B, -0.5)) ** 2
+    return "loewner", x.A, t * x.B
+
+
+def _lemma23(x):
+    r, r1 = weights(x.nu)
+    Ai = matrix_power(x.A, -1.0)
+    Bi = matrix_power(x.B, -1.0)
+    defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5)
+    scaled = kantorovich(math.sqrt(x.bounds.hp)) ** r1 * geometric_mean(Ai, Bi, x.nu)
+    lhs = 2.0 * r * defect + scaled
+    return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
+
+
+def _map_domination(x):
+    lhs = apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
+    rhs = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
+    return "loewner", lhs, rhs
+
+
+def _reverse_domination(x):
+    lhs = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
+    return "loewner", lhs, x.c * apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
+
+
+def _mean_comparison(x):
+    return "loewner", x.c * geometric_mean(x.A, x.B, x.nu), arithmetic_mean(x.A, x.B, x.nu)
+
+
+def _norm_refinement(x):
+    m, M = x.bounds.outer()
+    plain = matrix_power(apply_map(x.phi, arithmetic_mean(x.A, x.B, x.nu)), x.p)
+    fat = matrix_power(apply_map(x.phi, bracket_term(x.A, x.B, m, M, x.nu)), x.p)
+    return "norm", op_norm(plain), op_norm(fat)
+
+
+def _reverse_power(x, left):
+    """Phi^p(left) <= c * (mean block)^p, the mean block taken in the entry's form."""
+    if x.outside:
+        mean = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
+    else:
+        mean = apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
+    return "loewner", matrix_power(apply_map(x.phi, left), x.p), x.c * matrix_power(mean, x.p)
+
+
+def _reverse_am(x):
+    return _reverse_power(x, arithmetic_mean(x.A, x.B, x.nu))
+
+
+def _reverse_bracket(x):
+    m, M = x.bounds.outer()
+    return _reverse_power(x, bracket_term(x.A, x.B, m, M, x.nu))
+
+
+# --- the table --------------------------------------------------------------
+# Each row: id, summary, bounds kinds, sides, constant, domain, then how the
+# suite exercises it.
+
+_TABLE: dict[str, RegistryEntry] = {row.ineq_id: row for row in (
+    RegistryEntry("amgm", "weighted arithmetic-geometric mean inequality A #_nu B <= A nabla_nu B",
+                  ALL_KINDS, _amgm, uses_phi=False),
+    RegistryEntry("lin", "reverse AM-GM under a positive unital map: Phi(A nabla B) <= K(h) Phi(A # B)",
+                  COMMON, _reverse_am, C._c_lin, _p_is(1.0), nu_mode="half"),
+    RegistryEntry("lin-squared", "squared reverse AM-GM with constant K(h)^2",
+                  COMMON, _reverse_am, C._c_lin_squared, _p_is(2.0), nu_mode="half", p_grid=(2.0,),
+                  both_forms=True),
+    RegistryEntry("lin-power", "reverse AM-GM at powers 0 < p <= 2 with constant K(h)^p",
+                  COMMON, _reverse_am, C._c_lin_power, _p_up_to(2.0), nu_mode="half", p_grid=(0.5, 2.0),
+                  both_forms=True),
+    RegistryEntry("lh", "power monotonicity: X <= Y implies X^p <= Y^p for 0 < p <= 1",
+                  SANDWICH, _power_monotone, domain=_p_up_to(1.0), uses_phi=False, nu_mode="any",
+                  p_grid=(0.5, 1.0)),
+    RegistryEntry("lh-p2-demo", "power monotonicity tried at p = 2 (recorded counterexample feed, not asserted)",
+                  SANDWICH, _power_monotone, uses_phi=False, nu_mode="any", p_grid=(2.0,), asserted=False),
+    RegistryEntry("thm1.1", "reverse AM-GM at powers p >= 2 with constant ((M+m)^2 / (4^{2/p} M m))^p",
+                  COMMON, _reverse_am, C._c_thm11, _p_at_least(2.0), nu_mode="half", p_grid=(2.0, 3.5),
+                  both_forms=True),
+    RegistryEntry("thm1.2", "bracket reverse inequality at any p > 0, constant max{K(h), (M+m)^2/(4^{2/p}Mm)}^p",
+                  COMMON, _reverse_bracket, C._c_thm12, _p_positive, p_grid=(0.5, 2.0), both_forms=True),
+    RegistryEntry("thm1.3", "separated-spectra reverse inequality, constant (K(h)/(4^{2/p-1} K^r(h')))^p, p >= 2",
+                  A_LOW, _reverse_am, C._c_thm13, _p_at_least(2.0), p_grid=(2.0, 3.5), both_forms=True),
+    RegistryEntry("choi", "map of the inverse dominates the inverse of the map: Phi(A)^{-1} <= Phi(A^{-1})",
+                  ALL_KINDS, _choi, nu_mode="any"),
+    RegistryEntry("lemma2.2-i", "norm bound ||A B|| <= (1/4) ||A + B||^2 for positive A, B",
+                  ALL_KINDS, _lemma22_i, uses_phi=False, nu_mode="any"),
+    RegistryEntry("lemma2.2-ii", "norm bound ||A^a + B^a|| <= ||(A + B)^a||, exercised for a >= 1",
+                  ALL_KINDS, _lemma22_ii, uses_phi=False, nu_mode="any", needs_alpha=True),
+    RegistryEntry("lemma2.2-iii", "A <= t B at t = ||A^{1/2} B^{-1/2}||^2 (the norm criterion, checked at its tight constant)",
+                  ALL_KINDS, _lemma22_iii, uses_phi=False, nu_mode="any"),
+    RegistryEntry("lemma2.3", "scalar refinement transferred to inverses: 2r(AM-GM defect) + K^{r1}(sqrt(h')) (A^{-1} #_nu B^{-1}) <= A^{-1} nabla_nu B^{-1}",
+                  SANDWICH, _lemma23, uses_phi=False),
+    RegistryEntry("thm2.4", "squared bracket reverse inequality with constant (K(h)/K^{r1}(sqrt(h')))^2",
+                  SANDWICH, _reverse_bracket, C._c_thm24, _p_is(2.0), p_grid=(2.0,), both_forms=True),
+    RegistryEntry("cor2.6", "bracket reverse inequality at 0 < p <= 2 with constant (K(h)/K^{r1}(sqrt(h')))^p",
+                  SANDWICH, _reverse_bracket, C._c_cor26, _p_up_to(2.0), p_grid=(0.5, 2.0), both_forms=True),
+    RegistryEntry("thm2.7", "bracket reverse inequality at p >= 2 with constant (K(h)/(4^{2/p-1} K^{r1}(sqrt(h'))))^p",
+                  SANDWICH, _reverse_bracket, C._c_thm27, _p_at_least(2.0), p_grid=(2.0, 3.5),
+                  both_forms=True),
+    RegistryEntry("norm-refinement", "operator-norm refinement: ||Phi^p(A nabla_nu B)|| <= ||Phi^p(bracket)||, p >= 1",
+                  COMMON + SANDWICH, _norm_refinement, domain=_p_at_least(1.0), p_grid=(1.0, 2.5)),
+    RegistryEntry("zhang", "reverse AM-GM at p >= 4 with constant (K(h)(M^2+m^2)/(4^{2/p} M m))^p",
+                  COMMON, _reverse_am, C._c_zhang, _p_at_least(4.0), nu_mode="half", p_grid=(4.0, 5.5),
+                  both_forms=True),
+    RegistryEntry("zhang-refined", "separated-spectra sharpening of the p >= 4 reverse with divisor K^r(h')",
+                  A_LOW, _reverse_am, C._c_zhang_refined, _p_at_least(4.0), p_grid=(4.0, 5.5),
+                  both_forms=True),
+    RegistryEntry("thm2.9", "bracket form of the p >= 4 reverse with divisor K^r(h') (displayed constant)",
+                  SANDWICH, _reverse_bracket, C._c_zhang_refined, _p_at_least(4.0), p_grid=(4.0, 5.5),
+                  both_forms=True),
+    RegistryEntry("thm2.9-proof", "bracket form of the p >= 4 reverse with the proof-side divisor K^{r1}(sqrt(h'))",
+                  SANDWICH, _reverse_bracket, C._c_thm29_proof, _p_at_least(4.0), p_grid=(4.0, 5.5),
+                  asserted=False, both_forms=True),
+    RegistryEntry("thm2.10", "alpha-interpolated bracket reverse, constant (K^{-r1 a/2}(sqrt(h')) K^{a/2}(h)(M^a+m^a))^{2p/a}/(16 M^p m^p)",
+                  SANDWICH, _reverse_bracket, C._c_thm210, _p_at_least_2alpha, p_grid="2a",
+                  needs_alpha=True, both_forms=True),
+    RegistryEntry("eq217", "map of the geometric mean is dominated: Phi(A # B) <= Phi(A) # Phi(B)",
+                  ALL_KINDS, _map_domination, nu_mode="half"),
+    RegistryEntry("ando", "weighted map domination: Phi(A #_nu B) <= Phi(A) #_nu Phi(B)",
+                  ALL_KINDS, _map_domination),
+    RegistryEntry("lee", "reverse of the geometric-mean domination, constant (m+M)/(2 sqrt(mM)) in the cross ratios",
+                  REVERSE, _reverse_domination, C._c_lee, nu_mode="half"),
+    RegistryEntry("lee-printed", "the same reverse with the constant exactly as printed, (sqrt(M)+sqrt(m))/(2 sqrt(Mm))",
+                  REVERSE, _reverse_domination, C._c_lee_printed, nu_mode="half", asserted=False),
+    RegistryEntry("seo", "weighted reverse of the map domination with constant K(m, M, nu)^{-1}",
+                  REVERSE, _reverse_domination, C._c_seo),
+    RegistryEntry("thm3.3", "mean comparison A nabla_nu B >= K^r(h) (A #_nu B) with the outer ratio, as printed",
+                  SANDWICH, _mean_comparison, C._c_thm33, uses_phi=False, asserted=False),
+    RegistryEntry("thm3.3-hprime", "mean comparison A nabla_nu B >= K^r(h') (A #_nu B) with the inner ratio",
+                  SANDWICH, _mean_comparison, C._c_thm33_hprime, uses_phi=False),
+    RegistryEntry("thm3.4", "claimed sharpening of the weighted reverse by the extra factor K(h)^{-r}",
+                  REVERSE, _reverse_domination, C._c_thm34, _separated, separated=True),
+)}
+
+
+def _forms(row: RegistryEntry) -> tuple[RegistryEntry, ...]:
+    if not row.both_forms:
+        return (row,)
+    return (
+        replace(row, ineq_id=f"{row.ineq_id}-phi-inside",
+                summary=row.summary + " (right side from the mapped mean)"),
+        replace(row, ineq_id=f"{row.ineq_id}-phi-outside",
+                summary=row.summary + " (right side from the mean of map images)", outside=True),
+    )
+
+
+REGISTRY: dict[str, RegistryEntry] = {
+    entry.ineq_id: entry for row in _TABLE.values() for entry in _forms(row)
+}
 
 
 def registry_ids() -> tuple[str, ...]:
@@ -291,6 +336,40 @@ def get_entry(ineq_id: str) -> RegistryEntry:
         return REGISTRY[ineq_id]
     except KeyError:
         raise UnknownInequality(f"no registry entry named {ineq_id!r}") from None
+
+
+def require_hypothesis(
+    entry: RegistryEntry, bounds: SandwichBounds, params: CaseParams, comparison: bool = False
+) -> None:
+    """Raise HypothesisNotMet unless the bounds kind and the domain admit the case.
+
+    comparison=True also admits `common` bounds everywhere (h' := h) and
+    sandwich bounds for entries stated on common bounds (read through the
+    outer pair), so constants can be compared on shared bounds.
+    """
+    widened = comparison and (
+        bounds.kind == "common" or (bounds.kind in SANDWICH and entry.kinds == COMMON)
+    )
+    if bounds.kind not in entry.kinds and not widened:
+        raise HypothesisNotMet(
+            f"{entry.ineq_id} expects bounds of kind {'/'.join(entry.kinds)}, got {bounds.kind}"
+        )
+    clause = entry.domain(bounds, params) if entry.domain is not None else None
+    if clause is not None:
+        raise HypothesisNotMet(f"{entry.ineq_id} requires {clause}")
+
+
+def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> float:
+    """Scalar multiplier the inequality places in front of its right side.
+
+    Accepts registry ids and the bare base names of two-form entries, on the
+    entry's own bounds kinds or in comparison mode (see require_hypothesis).
+    """
+    entry = REGISTRY.get(ineq_id) or _TABLE.get(ineq_id)
+    if entry is None:
+        raise UnknownInequality(f"no registry entry named {ineq_id!r}")
+    require_hypothesis(entry, bounds, params, comparison=True)
+    return entry.constant(bounds, params)
 
 
 @dataclass(frozen=True)
@@ -313,126 +392,6 @@ class Verdict:
     params: dict
 
 
-def _gate(entry: RegistryEntry, case: InequalityCase):
-    bounds = case.instance.bounds
-    if bounds.kind not in entry.kinds:
-        raise HypothesisNotMet(
-            f"{entry.ineq_id} expects bounds of kind {'/'.join(entry.kinds)}, "
-            f"got {bounds.kind}"
-        )
-    if entry.base == "thm3.4" and not bounds.M1 < bounds.m2:
-        raise HypothesisNotMet(
-            f"thm3.4 requires M1 < m2, got M1 = {bounds.M1:g}, m2 = {bounds.m2:g}"
-        )
-    if entry.base == "lh" or entry.base == "lh-p2-demo":
-        if entry.base == "lh" and not 0.0 < case.params.p <= 1.0:
-            raise HypothesisNotMet(
-                f"lh requires 0 < p <= 1, got p = {case.params.p:g}"
-            )
-    elif entry.base == "norm-refinement":
-        if case.params.p < 1.0:
-            raise HypothesisNotMet(
-                f"norm-refinement requires p >= 1, got p = {case.params.p:g}"
-            )
-    elif entry.base not in ("amgm", "choi", "lemma2.2-i", "lemma2.2-ii",
-                            "lemma2.2-iii", "lemma2.3", "eq217", "ando",
-                            "lee", "lee-printed", "seo", "thm3.3",
-                            "thm3.3-hprime"):
-        # delegate the p/alpha domain check to the constant table
-        bound_constant(entry.ineq_id, bounds, case.params)
-    if case.phi is not None and case.phi.n != case.instance.n:
-        raise HypothesisNotMet(
-            f"map dimension {case.phi.n} does not match instance dimension "
-            f"{case.instance.n}"
-        )
-
-
-def _rhs_mean(entry: RegistryEntry, case: InequalityCase, nu: float) -> np.ndarray:
-    """Phi^p-ready geometric-mean block for the two displayed conclusions."""
-    inst = case.instance
-    if entry.ineq_id.endswith("-phi-outside"):
-        return geometric_mean(apply_map(case.phi, inst.A), apply_map(case.phi, inst.B), nu)
-    return apply_map(case.phi, geometric_mean(inst.A, inst.B, nu))
-
-
-def _assemble(entry: RegistryEntry, case: InequalityCase):
-    """Return ('loewner', lhs, rhs) or ('norm', lhs_scalar, rhs_scalar)."""
-    inst = case.instance
-    prm = case.params
-    bounds = inst.bounds
-    base = entry.base
-    A, B = inst.A, inst.B
-    nu = prm.nu if entry.nu_mode == "grid" else 0.5
-    p = prm.p
-
-    if base == "amgm":
-        return "loewner", geometric_mean(A, B, nu), arithmetic_mean(A, B, nu)
-
-    if base == "lh" or base == "lh-p2-demo":
-        lo_op, hi_op = (B, A) if bounds.kind == "sandwich_B_low" else (A, B)
-        return "loewner", matrix_power(lo_op, p), matrix_power(hi_op, p)
-
-    if base == "choi":
-        pa = apply_map(case.phi, A)
-        return "loewner", matrix_power(pa, -1.0), apply_map(case.phi, matrix_power(A, -1.0))
-
-    if base == "lemma2.2-i":
-        return "norm", spectral_norm(A @ B), 0.25 * op_norm(A + B) ** 2
-
-    if base == "lemma2.2-ii":
-        a = prm.alpha
-        lhs = op_norm(matrix_power(A, a) + matrix_power(B, a))
-        rhs = op_norm(matrix_power(A + B, a))
-        return "norm", lhs, rhs
-
-    if base == "lemma2.2-iii":
-        t = spectral_norm(matrix_power(A, 0.5) @ matrix_power(B, -0.5)) ** 2
-        return "loewner", A, t * B
-
-    if base == "lemma2.3":
-        m, M = bounds.outer()
-        r, r1 = weights(nu)
-        Ai = matrix_power(A, -1.0)
-        Bi = matrix_power(B, -1.0)
-        defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5)
-        lhs = 2.0 * r * defect + kantorovich(math.sqrt(bounds.hp)) ** r1 * geometric_mean(Ai, Bi, nu)
-        return "loewner", lhs, arithmetic_mean(Ai, Bi, nu)
-
-    if base == "eq217" or base == "ando":
-        lhs = apply_map(case.phi, geometric_mean(A, B, nu))
-        rhs = geometric_mean(apply_map(case.phi, A), apply_map(case.phi, B), nu)
-        return "loewner", lhs, rhs
-
-    if base in ("lee", "lee-printed", "seo", "thm3.4"):
-        const = bound_constant(entry.ineq_id, bounds, CaseParams(nu=nu, p=prm.p, alpha=prm.alpha))
-        lhs = geometric_mean(apply_map(case.phi, A), apply_map(case.phi, B), nu)
-        rhs = const * apply_map(case.phi, geometric_mean(A, B, nu))
-        return "loewner", lhs, rhs
-
-    if base in ("thm3.3", "thm3.3-hprime"):
-        const = bound_constant(entry.ineq_id, bounds, CaseParams(nu=nu))
-        return "loewner", const * geometric_mean(A, B, nu), arithmetic_mean(A, B, nu)
-
-    if base == "norm-refinement":
-        m, M = bounds.outer()
-        plain = matrix_power(apply_map(case.phi, arithmetic_mean(A, B, nu)), p)
-        fat = matrix_power(apply_map(case.phi, bracket_term(A, B, m, M, nu)), p)
-        return "norm", op_norm(plain), op_norm(fat)
-
-    # remaining families: Phi^p(left block) <= constant * (mean block)^p
-    const = bound_constant(entry.ineq_id, bounds, CaseParams(nu=nu, p=p, alpha=prm.alpha))
-    if base in ("lin", "lin-squared", "lin-power", "thm1.1", "thm1.3",
-                "zhang", "zhang-refined"):
-        m, M = bounds.outer()
-        left_block = arithmetic_mean(A, B, nu)
-    else:  # thm1.2, thm2.4, cor2.6, thm2.7, thm2.9, thm2.9-proof, thm2.10
-        m, M = bounds.outer()
-        left_block = bracket_term(A, B, m, M, nu)
-    lhs = matrix_power(apply_map(case.phi, left_block), p)
-    rhs = const * matrix_power(_rhs_mean(entry, case, nu), p)
-    return "loewner", lhs, rhs
-
-
 def check_case(
     case: InequalityCase,
     tol: float = DEFAULT_TOL,
@@ -445,9 +404,21 @@ def check_case(
     notices (mutation sensitivity).
     """
     entry = get_entry(case.ineq_id)
-    _gate(entry, case)
-    verify_instance(case.instance)
-    kind, lhs, rhs = _assemble(entry, case)
+    inst = case.instance
+    bounds = inst.bounds
+    prm = case.params
+    nu = prm.nu if entry.nu_mode == "grid" else 0.5
+    resolved = CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)
+    require_hypothesis(entry, bounds, resolved)
+    c = entry.constant(bounds, resolved)
+    if case.phi is not None and case.phi.n != inst.n:
+        raise HypothesisNotMet(
+            f"map dimension {case.phi.n} does not match instance dimension {inst.n}"
+        )
+    verify_instance(inst)
+    kind, lhs, rhs = entry.sides(
+        Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, c, entry.outside)
+    )
     if kind == "norm":
         lhs_norm = float(lhs)
         rhs_norm = float(rhs) * constant_scale
@@ -459,13 +430,12 @@ def check_case(
         lhs_norm = op_norm(lhs)
         rhs_norm = op_norm(rhs)
     relative_gap = gap / (1.0 + rhs_norm)
-    nu = case.params.nu if entry.nu_mode == "grid" else 0.5
     echo = {
         "nu": nu,
-        "p": case.params.p,
-        "alpha": case.params.alpha,
+        "p": prm.p,
+        "alpha": prm.alpha,
         "map": case.phi.describe() if case.phi is not None else "none",
-        "bounds": case.instance.bounds.to_dict(),
+        "bounds": bounds.to_dict(),
     }
     return Verdict(
         ineq_id=case.ineq_id,
@@ -474,7 +444,7 @@ def check_case(
         gap=gap,
         relative_gap=relative_gap,
         holds=bool(relative_gap >= -tol),
-        seed=case.instance.seed,
+        seed=inst.seed,
         params=echo,
     )
 
@@ -545,10 +515,6 @@ def compare_constants(
     id_a: str, id_b: str, bounds: SandwichBounds, params: CaseParams
 ) -> float:
     """bound_constant(id_a) / bound_constant(id_b) on a shared hypothesis."""
-    for ineq_id in (id_a, id_b):
-        base = C.base_name(ineq_id)
-        if base not in C.known_bases():
-            raise UnknownInequality(f"no registry entry named {ineq_id!r}")
     try:
         ca = bound_constant(id_a, bounds, params)
         cb = bound_constant(id_b, bounds, params)

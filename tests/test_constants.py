@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from opineq.constants import (
     CaseParams,
     SandwichBounds,
-    bound_constant,
     generalized_kantorovich,
     kantorovich,
     weights,
@@ -24,6 +23,8 @@ from opineq.errors import (
     UnknownInequality,
     WeightOutOfRange,
 )
+
+from opineq.verifier import bound_constant
 
 from .oracles import secant_ratio_min
 

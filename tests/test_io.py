@@ -1,12 +1,15 @@
 """Serialization round-trips for matrices, maps, and instances."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opineq.constants import SandwichBounds
-from opineq.errors import MalformedSpec
+from opineq.constants import BOUND_KINDS, SandwichBounds
+from opineq.errors import MalformedSpec, OpineqError
 from opineq.io import (
     dumps_canonical,
     instance_to_obj,
@@ -89,3 +92,84 @@ def test_save_load_json(tmp_path):
     path = tmp_path / "x.json"
     save_json(str(path), {"k": [1, 2, 3]})
     assert load_json(str(path)) == {"k": [1, 2, 3]}
+
+
+_U2 = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "loader, payload",
+    [
+        (obj_to_map, {"kind": "pinching", "n": 2}),
+        (obj_to_map, {"kind": "unitary_mixture", "n": 2, "terms": [{"U": _U2}]}),
+        (obj_to_map, {"kind": "compression", "n": 2}),
+        (obj_to_instance, {"n": 2, "seed": 0, "bounds": [], "A": _U2, "B": _U2}),
+    ],
+    ids=["pinching-without-blocks", "term-without-weight", "compression-without-V",
+         "bounds-not-an-object"],
+)
+def test_loaders_reject_malformed_payloads(loader, payload):
+    with pytest.raises(MalformedSpec):
+        loader(payload)
+
+
+_json_like = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.integers() | st.floats()
+    | st.sampled_from(MAP_KINDS + BOUND_KINDS) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_payloads():
+    inst = instance_to_obj(sample_instance(SandwichBounds.common(1.0, 2.0), 2, seed=1))
+    rect = rect_to_obj(random_map(3, "compression", seed=1).payload)
+    maps = [map_to_obj(random_map(3, kind, seed=1)) for kind in MAP_KINDS]
+    return ([(obj_to_map, m) for m in maps]
+            + [(obj_to_instance, inst), (obj_to_matrix, inst["A"]), (obj_to_rect, rect)])
+
+
+_VALID = _valid_payloads()
+
+
+def _slots(obj):
+    """Every (container, key) pair inside a JSON-like object."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        items = []
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+@st.composite
+def _corrupted(draw):
+    """A valid payload with one to three fields deleted or replaced by junk."""
+    loader, valid = draw(st.sampled_from(_VALID))
+    obj = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(obj))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_json_like)
+    return loader, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted() | st.tuples(st.sampled_from([loader for loader, _ in _VALID]),
+                                st.dictionaries(st.text(max_size=5), _json_like)))
+def test_loaders_load_or_raise_opineq_error(loader_and_payload):
+    """Any JSON-like payload either loads or raises an OpineqError."""
+    loader, payload = loader_and_payload
+    try:
+        loader(payload)
+    except OpineqError:
+        pass

@@ -104,6 +104,10 @@ def test_config_validation_errors():
     with pytest.raises(ConfigInvalid):
         # seo needs reverse-Ando bounds; common fixed bounds cannot serve it
         run_suite(small_config(fixed_bounds=SandwichBounds.common(1.0, 2.0)))
+    with pytest.raises(ConfigInvalid, match="M1 < m2"):
+        # thm3.4's hypothesis separates the intervals
+        run_suite(small_config(ids=("thm3.4",),
+                               fixed_bounds=SandwichBounds.reverse_ando(1.0, 2.0, 1.5, 3.0)))
 
 
 def test_fixed_bounds_flow_through():
@@ -144,6 +148,13 @@ def test_search_finds_confirmed_violation_on_refuted_entry():
     assert not rec.holds
     assert rec.best_relative_gap < -1e-3
     assert rec.confirmed is True
+
+
+def test_search_lin_stays_at_its_stated_power():
+    """The search's p moves leave lin's domain p = 1 and are rejected."""
+    rec = tightness_search("lin", budget=300, seed=0, n=2)
+    assert rec.holds
+    assert rec.params["p"] == 1.0
 
 
 def test_search_rejects_bad_budget():

@@ -13,6 +13,7 @@ from opineq.errors import (
     DegenerateInterval,
     HypothesisNotMet,
     IncompatibleEntries,
+    NonHermitianInput,
     NonPositiveArgument,
     UnknownInequality,
     WeightOutOfRange,
@@ -133,6 +134,30 @@ def test_gates_reject_wrong_hypotheses():
         check_case(make_case("thm3.4", I2, 4.0 * I2,
                              SandwichBounds.reverse_ando(1.0, 2.0, 1.5, 3.0),
                              phi=MapSpec("identity", 2)))
+
+
+def test_lin_family_rejects_powers_it_does_not_state():
+    """lin is stated at p = 1 and lin-squared at p = 2; their constants ignore
+    p, so any other power would check a statement the paper never makes."""
+    common = SandwichBounds.common(1.0, 4.0)
+    A = np.diag([1.0, 4.0])
+    B = np.diag([4.0, 1.0])
+    trace = MapSpec("trace_average", 2)
+    with pytest.raises(HypothesisNotMet, match="p = 1"):
+        check_case(make_case("lin", A, B, common, phi=trace, p=3.0))
+    with pytest.raises(HypothesisNotMet, match="p = 2"):
+        check_case(make_case("lin-squared-phi-inside", A, B, common, phi=trace, p=3.0))
+    assert check_case(make_case("lin", A, B, common, phi=trace, p=1.0)).holds
+    assert check_case(make_case("lin-squared-phi-inside", A, B, common, phi=trace, p=2.0)).holds
+    with pytest.raises(IncompatibleEntries):
+        compare_constants("lin-squared", "lin", common, CaseParams(p=3.0))
+
+
+def test_non_finite_entry_is_an_error_not_a_failure():
+    A = np.array([[2.0, np.nan], [np.nan, 3.0]])
+    case = make_case("amgm", A, I2, SandwichBounds.common(1.0, 4.0), nu=0.5)
+    with pytest.raises(NonHermitianInput):
+        check_case(case)
 
 
 def test_mutation_hook_flips_verdict():
