@@ -22,6 +22,7 @@ from .errors import (
 )
 
 BOUND_KINDS = ("common", "sandwich_B_low", "sandwich_A_low", "reverse_ando")
+BOUND_FIELDS = ("m", "mp", "Mp", "M", "m1", "M1", "m2", "M2")
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,10 @@ class SandwichBounds:
     def __post_init__(self):
         if self.kind not in BOUND_KINDS:
             raise BadBounds(f"unknown bounds kind {self.kind!r}")
+        for name in BOUND_FIELDS:
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise BadBounds(f"bound {name} must be finite, got {v}")
         if self.kind == "common":
             if self.m is None or self.M is None:
                 raise BadBounds("common bounds need m and M")
@@ -127,7 +132,7 @@ class SandwichBounds:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for f in ("m", "mp", "Mp", "M", "m1", "M1", "m2", "M2"):
+        for f in BOUND_FIELDS:
             v = getattr(self, f)
             if v is not None:
                 d[f] = v
@@ -136,7 +141,7 @@ class SandwichBounds:
     @classmethod
     def from_dict(cls, d: dict) -> "SandwichBounds":
         kind = d.get("kind")
-        fields = {k: d[k] for k in ("m", "mp", "Mp", "M", "m1", "M1", "m2", "M2") if k in d}
+        fields = {k: d[k] for k in BOUND_FIELDS if k in d}
         return cls(kind, **fields)
 
 
@@ -152,8 +157,8 @@ class CaseParams:
     def __post_init__(self):
         if not 0.0 <= self.nu <= 1.0:
             raise WeightOutOfRange(f"nu must be in [0, 1], got {self.nu}")
-        if self.p < 0.0:
-            raise ConfigInvalid(f"p must be >= 0, got {self.p}")
+        if not 0.0 <= self.p < math.inf:
+            raise ConfigInvalid(f"p must be finite and >= 0, got {self.p}")
         if not 1.0 <= self.alpha <= 2.0:
             raise ConfigInvalid(f"alpha must be in [1, 2], got {self.alpha}")
 

@@ -1,6 +1,6 @@
 """Dense Hermitian matrix arithmetic.
 
-Eigendecomposition (cyclic complex Jacobi), real matrix powers through the
+Eigendecomposition (LAPACK, through numpy), real matrix powers through the
 spectral calculus, the Loewner-order gap, and operator norms.  Everything
 downstream (means, maps, the inequality checker) routes matrix functions
 through :func:`eigh`, so the accuracy contract lives here: reconstruction
@@ -12,8 +12,6 @@ is accepted anywhere and promoted.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from typing import NamedTuple
 
 import numpy as np
@@ -24,27 +22,6 @@ from .errors import (
     NotPositiveSemidefinite,
     SingularMatrix,
 )
-
-# Scales the Jacobi convergence threshold.  The tightness search re-verifies
-# candidate counterexamples at scale 0.01 (two extra digits) before trusting
-# a negative gap; see suite.tightness_search.
-_threshold_scale: contextvars.ContextVar[float] = contextvars.ContextVar(
-    "opineq_eigh_threshold_scale", default=1.0
-)
-
-
-@contextlib.contextmanager
-def threshold_scale(scale: float):
-    """Temporarily scale the Jacobi convergence threshold (e.g. 0.01 to
-    demand two extra digits when re-verifying a suspected violation)."""
-    token = _threshold_scale.set(scale)
-    try:
-        yield
-    finally:
-        _threshold_scale.reset(token)
-
-JACOBI_THRESHOLD = 1e-13
-JACOBI_MAX_SWEEPS = 64
 
 # Tolerance policy (scale-invariant):
 HERM_TOL = 1e-12          # symmetry:  |A - A*| <= HERM_TOL * (1 + max|entry|)
@@ -94,69 +71,15 @@ def hermitize(A) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def _offdiag_mass(A: np.ndarray) -> float:
-    # Computed directly rather than as sqrt(|A|^2 - |diag|^2): the subtraction
-    # form cancels catastrophically near convergence and signals convergence
-    # several orders of magnitude too early.
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    return float(np.linalg.norm(B))
-
-
 def eigh(A) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
-    Cyclic Jacobi on the complex Hermitian matrix: each (p, q) plane is
-    diagonalized by a unitary rotation built from the phase of A[p, q];
-    sweeps continue until the off-diagonal Frobenius mass drops below
-    ``1e-13 * ||A||_F`` (times the context threshold scale), at most 64
-    sweeps.  Eigenvalues come back sorted ascending with matching columns.
+    LAPACK's Hermitian solver (``numpy.linalg.eigh``) behind the Hermitian
+    gate, so non-Hermitian and non-finite input raises NonHermitianInput.
+    Eigenvalues come back sorted ascending with matching columns.
     """
-    M = require_hermitian(A).copy()
-    n = M.shape[0]
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return SpectralDecomposition(np.array([M[0, 0].real]), V)
-    fro = float(np.linalg.norm(M))
-    if fro == 0.0:
-        return SpectralDecomposition(np.zeros(n), V)
-    target = JACOBI_THRESHOLD * _threshold_scale.get() * fro
-    for _sweep in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_mass(M) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                g = abs(apq)
-                if g == 0.0:
-                    continue
-                phase = apq / g
-                app = M[p, p].real
-                aqq = M[q, q].real
-                tau = (aqq - app) / (2.0 * g)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sph = s * np.conj(phase)
-                colp = M[:, p].copy()
-                colq = M[:, q].copy()
-                M[:, p] = c * colp - sph * colq
-                M[:, q] = s * colp + c * np.conj(phase) * colq
-                rowp = M[p, :].copy()
-                rowq = M[q, :].copy()
-                M[p, :] = c * rowp - s * phase * rowq
-                M[q, :] = s * rowp + c * phase * rowq
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                M[p, p] = M[p, p].real
-                M[q, q] = M[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - sph * vq
-                V[:, q] = s * vp + c * np.conj(phase) * vq
-    w = np.diagonal(M).real.copy()
-    idx = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[idx], np.ascontiguousarray(V[:, idx]))
+    w, V = np.linalg.eigh(require_hermitian(A))
+    return SpectralDecomposition(w, V)
 
 
 def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:

@@ -47,12 +47,13 @@ from .errors import (
     ConfigInvalid,
     DegenerateInterval,
 )
-from .linalg import loewner_gap, matrix_power, op_norm, spectral_norm
+from .linalg import eigh, hermitize, matrix_power, op_norm, spectral_norm
 from .maps import MapSpec, apply_map
 from .means import arithmetic_mean, bracket_term, geometric_mean
 from .sampler import Instance, verify_instance
 
 DEFAULT_TOL = 1e-9
+CERT_ROUNDING = 16.0  # multiple of n * eps * (||lhs|| + ||rhs||) a certified violation must clear
 
 NU_GRID = tuple(i / 10.0 for i in range(11))
 ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
@@ -359,6 +360,26 @@ def require_hypothesis(
         raise HypothesisNotMet(f"{entry.ineq_id} requires {clause}")
 
 
+def _constant(
+    entry: RegistryEntry, bounds: SandwichBounds, params: CaseParams, comparison: bool = False
+) -> float:
+    """The row's constant, once its hypothesis admits the case.
+
+    A constant that overflows or is not finite (a huge p or bound) raises
+    ConfigInvalid: such a case cannot be evaluated, which is not a verdict.
+    """
+    require_hypothesis(entry, bounds, params, comparison)
+    try:
+        c = entry.constant(bounds, params)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ConfigInvalid(
+            f"{entry.ineq_id}: constant is not finite at p = {params.p:g}, bounds {bounds.to_dict()}"
+        )
+    return c
+
+
 def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> float:
     """Scalar multiplier the inequality places in front of its right side.
 
@@ -368,8 +389,7 @@ def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> 
     entry = REGISTRY.get(ineq_id) or _TABLE.get(ineq_id)
     if entry is None:
         raise UnknownInequality(f"no registry entry named {ineq_id!r}")
-    require_hypothesis(entry, bounds, params, comparison=True)
-    return entry.constant(bounds, params)
+    return _constant(entry, bounds, params, comparison=True)
 
 
 @dataclass(frozen=True)
@@ -382,6 +402,10 @@ class InequalityCase:
 
 @dataclass(frozen=True)
 class Verdict:
+    """One case's outcome.  `confirmed` is None when the case holds; on a
+    failure it says whether the solver-independent certificate (see
+    check_case) backs the violation."""
+
     ineq_id: str
     lhs_norm: float
     rhs_norm: float
@@ -390,6 +414,7 @@ class Verdict:
     holds: bool
     seed: int
     params: dict
+    confirmed: Optional[bool] = None
 
 
 def check_case(
@@ -398,6 +423,15 @@ def check_case(
     constant_scale: float = 1.0,
 ) -> Verdict:
     """Evaluate one inequality on one instance.
+
+    A failing verdict carries a certificate that does not trust the
+    eigensolver.  For a Loewner entry, x is the computed lambda_min
+    eigenvector of D = hermitize(rhs - lhs), and the Rayleigh quotient
+    x*Dx / x*x, an upper bound on lambda_min(D) for any x, is evaluated
+    directly; norm entries take their scalar gap.  `confirmed` is True when
+    that value is below -tol * (1 + ||rhs||) by more than the rounding
+    allowance CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with
+    CERT_ROUNDING = 16 and n the dimension.
 
     constant_scale multiplies the assembled right-hand side; it exists so
     the suite can deliberately break an inequality and prove the checker
@@ -409,8 +443,7 @@ def check_case(
     prm = case.params
     nu = prm.nu if entry.nu_mode == "grid" else 0.5
     resolved = CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)
-    require_hypothesis(entry, bounds, resolved)
-    c = entry.constant(bounds, resolved)
+    c = _constant(entry, bounds, resolved)
     if case.phi is not None and case.phi.n != inst.n:
         raise HypothesisNotMet(
             f"map dimension {case.phi.n} does not match instance dimension {inst.n}"
@@ -426,10 +459,21 @@ def check_case(
     else:
         if constant_scale != 1.0:
             rhs = rhs * constant_scale
-        gap = loewner_gap(lhs, rhs)
+        D = hermitize(rhs - lhs)
+        w, V = eigh(D)
+        gap = float(w[0])
         lhs_norm = op_norm(lhs)
         rhs_norm = op_norm(rhs)
     relative_gap = gap / (1.0 + rhs_norm)
+    holds = bool(relative_gap >= -tol)
+    confirmed = None
+    if not holds:
+        certified = gap
+        if kind == "loewner":
+            x = V[:, 0]
+            certified = float(np.vdot(x, D @ x).real / np.vdot(x, x).real)
+        allowance = CERT_ROUNDING * inst.n * np.finfo(float).eps * (lhs_norm + rhs_norm)
+        confirmed = bool(certified < -tol * (1.0 + rhs_norm) - allowance)
     echo = {
         "nu": nu,
         "p": prm.p,
@@ -443,9 +487,10 @@ def check_case(
         rhs_norm=rhs_norm,
         gap=gap,
         relative_gap=relative_gap,
-        holds=bool(relative_gap >= -tol),
+        holds=holds,
         seed=inst.seed,
         params=echo,
+        confirmed=confirmed,
     )
 
 

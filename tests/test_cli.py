@@ -83,6 +83,20 @@ def test_verify_bad_bounds_combination_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--ineq", "thm1.1-phi-inside", "--n", "2", "--trials", "1", "--p", "5000"),
+    ("verify", "--ineq", "thm1.1-phi-inside", "--n", "2", "--trials", "1", "--p", "inf"),
+    ("compare", "--a", "thm1.1", "--b", "zhang", "--m", "1", "--M", "4", "--p", "5000"),
+    ("verify", "--ineq", "amgm", "--n", "2", "--trials", "1", "--m", "1", "--M", "inf"),
+])
+def test_unevaluable_numbers_exit_2(capsys, argv):
+    """An overflowing constant or a non-finite power or bound is a usage
+    error, not an inequality failure."""
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
 def test_gen_deterministic(capsys):
     code, first, _ = run_cli(capsys, "gen", "--n", "2", "--seed", "3",
                              "--m", "1", "--M", "4")

@@ -150,6 +150,22 @@ def test_search_finds_confirmed_violation_on_refuted_entry():
     assert rec.confirmed is True
 
 
+def test_search_does_not_confirm_rounding_noise():
+    """amgm is an identity at nu in {0, 1}; a negative gap there at tol = 0
+    is rounding noise, which the certificate must not confirm."""
+    rec = tightness_search("amgm", budget=60, seed=0, n=2, tol=0.0)
+    assert not rec.holds
+    assert rec.confirmed is False
+
+
+def test_search_leaves_identity_plateau():
+    """A walk that reaches a gap within tol of zero restarts, so it is not
+    steered by rounding noise on a plateau of identities."""
+    rec = tightness_search("thm3.4", budget=120, seed=4, n=2)
+    assert not rec.holds
+    assert rec.confirmed is True
+
+
 def test_search_lin_stays_at_its_stated_power():
     """The search's p moves leave lin's domain p = 1 and are rejected."""
     rec = tightness_search("lin", budget=300, seed=0, n=2)

@@ -183,6 +183,7 @@ def test_refuted_reverse_refinement_counterexample():
     v = check_case(case)
     assert not v.holds
     assert v.relative_gap < -1e-3
+    assert v.confirmed is True
     # the unstrengthened reverse holds on the identical instance
     seo = check_case(make_case(
         "seo", I2, 4.0 * I2,
@@ -190,6 +191,20 @@ def test_refuted_reverse_refinement_counterexample():
         phi=MapSpec("identity", 2), nu=0.5,
     ))
     assert seo.holds
+
+
+def test_failing_verdict_is_confirmed_only_past_rounding():
+    """`confirmed` is None on a pass, False on a failure inside the rounding
+    allowance, True on a genuine one, for Loewner and norm entries alike."""
+    case = make_case("amgm", I2, I2, SandwichBounds.common(1.0, 4.0), nu=0.5)
+    assert check_case(case).confirmed is None
+    noise = check_case(case, tol=0.0, constant_scale=1.0 - 1e-15)
+    assert not noise.holds
+    assert noise.confirmed is False
+    assert check_case(case, tol=0.0, constant_scale=0.5).confirmed is True
+    norm_case = make_case("lemma2.2-i", I2, I2, SandwichBounds.common(1.0, 4.0))
+    assert check_case(norm_case, tol=0.0, constant_scale=1.0 - 1e-15).confirmed is False
+    assert check_case(norm_case, constant_scale=0.5).confirmed is True
 
 
 def test_printed_outer_ratio_variant_fails_where_inner_holds():
