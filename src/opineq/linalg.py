@@ -6,12 +6,22 @@ downstream (means, maps, the inequality checker) routes matrix functions
 through :func:`eigh`, so the accuracy contract lives here: reconstruction
 within 1e-10 relative Frobenius error.
 
+:func:`eigh` is memoized on the matrix's content (its dimension and
+complex128 bytes), with the last EIGH_CACHE_SIZE distinct matrices kept.
+A case decomposes the same operand from several places (containment
+check, powers, norms), and the tightness search rebuilds the same operands
+across steps; each repeat is a cache hit that returns the bits a fresh
+LAPACK call would.  Cached arrays are read-only, so no caller can corrupt
+an entry, and a matrix that fails the Hermitian gate raises on every call.
+The memo is per process: each worker keeps its own.
+
 Matrices are plain ``numpy.ndarray`` values in ``complex128``.  Real input
 is accepted anywhere and promoted.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +37,8 @@ from .errors import (
 HERM_TOL = 1e-12          # symmetry:  |A - A*| <= HERM_TOL * (1 + max|entry|)
 PSD_TOL = 1e-10           # eigenvalue counts as >= 0 when lam >= -PSD_TOL*(1+lam_max)
 SINGULAR_TOL = 1e-12      # negative powers need lam_min > SINGULAR_TOL * lam_max
+
+EIGH_CACHE_SIZE = 128     # distinct matrices whose decomposition eigh keeps
 
 
 class SpectralDecomposition(NamedTuple):
@@ -76,9 +88,20 @@ def eigh(A) -> SpectralDecomposition:
 
     LAPACK's Hermitian solver (``numpy.linalg.eigh``) behind the Hermitian
     gate, so non-Hermitian and non-finite input raises NonHermitianInput.
-    Eigenvalues come back sorted ascending with matching columns.
+    Eigenvalues come back sorted ascending with matching columns.  Both
+    arrays are read-only: they may be shared with earlier callers that
+    passed a matrix with the same entries (see the module docstring).
     """
-    w, V = np.linalg.eigh(require_hermitian(A))
+    M = as_matrix(A)
+    return _eigh_of_bytes(M.shape[0], M.tobytes())
+
+
+@functools.lru_cache(maxsize=EIGH_CACHE_SIZE)
+def _eigh_of_bytes(n: int, data: bytes) -> SpectralDecomposition:
+    M = np.frombuffer(data, dtype=np.complex128).reshape(n, n)
+    w, V = np.linalg.eigh(require_hermitian(M))
+    w.flags.writeable = False
+    V.flags.writeable = False
     return SpectralDecomposition(w, V)
 
 
@@ -96,12 +119,10 @@ def matrix_power(A, t: float) -> np.ndarray:
     requires lam_min > 1e-12 * lam_max, else SingularMatrix.
     """
     t = float(t)
-    M = require_hermitian(A)
-    if t == 0.0:
-        return identity(M.shape[0])
-    if t == 1.0:
-        return M.copy()
-    w, U = eigh(M)
+    if t in (0.0, 1.0):
+        M = require_hermitian(A)
+        return identity(M.shape[0]) if t == 0.0 else M.copy()
+    w, U = eigh(A)
     if t == round(t) and t > 0:
         pw = w ** t
     else:

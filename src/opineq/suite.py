@@ -45,6 +45,11 @@ DEFAULT_DIMS = (2, 3, 5)
 DEFAULT_TRIALS = 100
 
 
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigInvalid(f"tol must be finite and >= 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything that determines a suite run (and hence its report).
@@ -80,8 +85,7 @@ class SuiteConfig:
             raise ConfigInvalid(f"trials must be >= 0, got {self.trials}")
         if self.workers < 1:
             raise ConfigInvalid(f"workers must be >= 1, got {self.workers}")
-        if self.tol < 0.0:
-            raise ConfigInvalid(f"tol must be >= 0, got {self.tol}")
+        _require_tol(self.tol)
         if not self.dims:
             raise ConfigInvalid("dims must be nonempty")
         for n in self.dims:
@@ -457,11 +461,19 @@ def _mutate_state(entry: RegistryEntry, st: _SearchState, n: int, rng: SplitMix6
     return st
 
 
-def _eval_state(entry: RegistryEntry, st: _SearchState, n: int, tol: float):
-    A = build_from_spectrum(st.lamA, st.frameA)
-    B = build_from_spectrum(st.lamB, st.frameA if st.aligned else st.frameB)
+def _reuse(operands: dict, fn, *args):
+    """fn(*args), taken from `operands` when the search built it before."""
+    key = (fn, *args)
+    if key not in operands:
+        operands[key] = fn(*args)
+    return operands[key]
+
+
+def _eval_state(entry: RegistryEntry, st: _SearchState, n: int, tol: float, operands: dict):
+    A = _reuse(operands, build_from_spectrum, st.lamA, st.frameA)
+    B = _reuse(operands, build_from_spectrum, st.lamB, st.frameA if st.aligned else st.frameB)
     instance = Instance(A=A, B=B, bounds=st.bounds, seed=st.frameA, n=n)
-    phi = random_map(n, st.map_kind, st.map_seed) if entry.uses_phi else None
+    phi = _reuse(operands, random_map, n, st.map_kind, st.map_seed) if entry.uses_phi else None
     case = InequalityCase(
         ineq_id=entry.ineq_id,
         instance=instance,
@@ -483,9 +495,16 @@ def tightness_search(
 
     The special id "scalar-lemma" searches the scalar refinement slack over
     (x, nu) instead of operator instances; pass nu to pin the weight.
+
+    Most steps move one coordinate, so the search keeps the matrices and
+    maps it built since the last fresh state and reuses them; both builders
+    are pure functions of their arguments, so reuse changes no result.
     """
     if budget < 1:
         raise ConfigInvalid(f"budget must be >= 1, got {budget}")
+    if not isinstance(n, int) or n < 1:
+        raise ConfigInvalid(f"n must be an integer >= 1, got {n!r}")
+    _require_tol(tol)
     if ineq_id == "scalar-lemma":
         return _search_scalar_lemma(budget, seed, nu)
     entry = get_entry(ineq_id)
@@ -495,9 +514,11 @@ def tightness_search(
     best_verdict = None
     state = None
     current_val = math.inf
+    operands: dict = {}
     evals = 0
     while evals < budget:
         if state is None or evals % restart_every == 0:
+            operands.clear()
             candidate = _fresh_state(entry, n, rng)
             current_val = math.inf
         else:
@@ -505,7 +526,7 @@ def tightness_search(
         if nu is not None and entry.nu_mode == "grid":
             candidate.nu = nu
         try:
-            verdict = _eval_state(entry, candidate, n, tol)
+            verdict = _eval_state(entry, candidate, n, tol, operands)
         except HypothesisNotMet:
             evals += 1
             continue

@@ -449,9 +449,15 @@ def check_case(
             f"map dimension {case.phi.n} does not match instance dimension {inst.n}"
         )
     verify_instance(inst)
-    kind, lhs, rhs = entry.sides(
-        Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, c, entry.outside)
-    )
+    # an overflowing side is reported by the check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        kind, lhs, rhs = entry.sides(
+            Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, c, entry.outside)
+        )
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise ConfigInvalid(
+            f"{entry.ineq_id}: a side overflows at p = {prm.p:g}, bounds {bounds.to_dict()}"
+        )
     if kind == "norm":
         lhs_norm = float(lhs)
         rhs_norm = float(rhs) * constant_scale

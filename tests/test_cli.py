@@ -88,10 +88,15 @@ def test_verify_bad_bounds_combination_exits_2(capsys):
     ("verify", "--ineq", "thm1.1-phi-inside", "--n", "2", "--trials", "1", "--p", "inf"),
     ("compare", "--a", "thm1.1", "--b", "zhang", "--m", "1", "--M", "4", "--p", "5000"),
     ("verify", "--ineq", "amgm", "--n", "2", "--trials", "1", "--m", "1", "--M", "inf"),
+    ("verify", "--ineq", "thm1.1-phi-inside", "--n", "2", "--trials", "1", "--p", "90",
+     "--m", "1", "--M", "1000"),
+    ("verify", "--ineq", "amgm", "--n", "2", "--trials", "3", "--tol", "nan"),
+    ("search", "--ineq", "amgm", "--n", "2", "--budget", "5", "--tol", "-1"),
+    ("search", "--ineq", "amgm", "--n", "0", "--budget", "5"),
 ])
 def test_unevaluable_numbers_exit_2(capsys, argv):
-    """An overflowing constant or a non-finite power or bound is a usage
-    error, not an inequality failure."""
+    """An overflowing constant or side, a non-finite power or bound, a bad
+    tolerance or dimension is a usage error, not an inequality failure."""
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err

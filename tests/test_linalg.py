@@ -12,6 +12,7 @@ from opineq.errors import (
     NotPositiveSemidefinite,
     SingularMatrix,
 )
+from opineq import linalg
 from opineq.linalg import (
     eigh,
     hermitize,
@@ -66,6 +67,32 @@ def test_eigh_rejects_non_hermitian():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         eigh(np.zeros((2, 3)))
+
+
+def test_eigh_memo_returns_lapack_bits_read_only():
+    """A miss and a hit both give np.linalg.eigh's exact bits, shared
+    read-only; the key is the content, not the array object or layout."""
+    linalg._eigh_of_bytes.cache_clear()
+    A = random_hermitian(5, 21)
+    w_ref, V_ref = np.linalg.eigh(A)
+    miss = eigh(A)
+    hit = eigh(np.asfortranarray(A.copy()))
+    assert linalg._eigh_of_bytes.cache_info().hits == 1
+    for w, V in (miss, hit):
+        assert w.tobytes() == w_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()
+        assert not w.flags.writeable and not V.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    assert hit.eigenvectors is miss.eigenvectors
+
+
+def test_eigh_memo_does_not_cache_a_failed_gate():
+    bad = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for M in bad:
+        for _ in range(2):
+            with pytest.raises(NonHermitianInput):
+                eigh(M)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,12 @@
 """Suite runner: determinism, parallel invariance, mutation, search."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from opineq import linalg
 from opineq.constants import SandwichBounds
 from opineq.errors import ConfigInvalid, UnknownInequality
 from opineq.suite import Report, SuiteConfig, run_suite, tightness_search
@@ -97,6 +100,9 @@ def test_config_validation_errors():
         run_suite(small_config(workers=0))
     with pytest.raises(ConfigInvalid):
         run_suite(small_config(dims=()))
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigInvalid, match="tol"):
+            run_suite(small_config(tol=tol))
     with pytest.raises(UnknownInequality):
         run_suite(small_config(ids=("nosuch",)))
     with pytest.raises(ConfigInvalid):
@@ -178,3 +184,36 @@ def test_search_rejects_bad_budget():
         tightness_search("amgm", budget=0, seed=0)
     with pytest.raises(UnknownInequality):
         tightness_search("nosuch", budget=10, seed=0)
+
+
+def test_search_rejects_bad_dimension_and_tol():
+    for n in (0, -1):
+        with pytest.raises(ConfigInvalid, match="n must be"):
+            tightness_search("amgm", budget=5, seed=0, n=n)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigInvalid, match="tol"):
+            tightness_search("amgm", budget=5, seed=0, tol=tol)
+
+
+def test_search_same_record_with_cold_and_warm_memo():
+    linalg._eigh_of_bytes.cache_clear()
+    cold = tightness_search("thm3.4", budget=120, seed=1, n=2)
+    warm = tightness_search("thm3.4", budget=120, seed=1, n=2)
+    assert linalg._eigh_of_bytes.cache_info().hits > 0
+    assert cold == warm
+
+
+def test_search_decomposes_each_distinct_matrix_once(monkeypatch):
+    """Repeated operands across search steps are memo hits: at most half
+    the 1,662 LAPACK calls that decomposing every request would make."""
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counting_eigh(M):
+        calls.append(1)
+        return lapack(M)
+
+    linalg._eigh_of_bytes.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    tightness_search("thm2.7-phi-inside", budget=120, seed=1, n=2)
+    assert 0 < len(calls) <= 830
