@@ -115,7 +115,7 @@ def instance_to_obj(inst: Instance) -> dict:
 
 def obj_to_instance(obj: dict) -> Instance:
     try:
-        return Instance(
+        inst = Instance(
             A=obj_to_matrix(obj["A"]),
             B=obj_to_matrix(obj["B"]),
             bounds=SandwichBounds.from_dict(obj["bounds"]),
@@ -124,6 +124,9 @@ def obj_to_instance(obj: dict) -> Instance:
         )
     except _BAD_PAYLOAD as exc:
         raise MalformedSpec(f"bad instance payload: {exc!r}") from exc
+    if not inst.A.shape == inst.B.shape == (inst.n, inst.n):
+        raise MalformedSpec(f"instance n = {inst.n}, but A is {inst.A.shape} and B {inst.B.shape}")
+    return inst
 
 
 def save_json(path: str, obj) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedSpec, UnknownKind
 from .linalg import as_matrix, eigh, identity, op_norm
-from .sampler import SplitMix64, derive_seed, haar_isometry, haar_unitary, sample_constrained
+from .sampler import SplitMix64, derive_seed, haar_unitary, sample_constrained
 
 MAP_KINDS = (
     "identity",
@@ -171,7 +171,7 @@ def random_map(n: int, kind: str, seed: int) -> MapSpec:
         return MapSpec(kind, n)
     if kind == "compression":
         k = rng.randint(1, n - 1) if n >= 2 else 1
-        return MapSpec(kind, n, haar_isometry(n, k, rng))
+        return MapSpec(kind, n, haar_unitary(n, rng)[:, :k].copy())
     if kind == "pinching":
         blocks: list[tuple[int, ...]] = []
         current = [0]
@@ -187,10 +187,7 @@ def random_map(n: int, kind: str, seed: int) -> MapSpec:
     count = rng.randint(2, 3)
     raw = [rng.uniform(0.2, 1.0) for _ in range(count)]
     total = sum(raw)
-    terms = []
     weights = [w / total for w in raw]
     # nudge the last weight so the sum is exactly 1 in floating point
     weights[-1] = 1.0 - sum(weights[:-1])
-    for w in weights:
-        terms.append((w, haar_unitary(n, rng)))
-    return MapSpec(kind, n, tuple(terms))
+    return MapSpec(kind, n, tuple((w, haar_unitary(n, rng)) for w in weights))

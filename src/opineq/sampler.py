@@ -10,7 +10,9 @@ bit-for-bit across runs and platforms:
     z = ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output = z XOR (z >> 31)
 
-Doubles in [0, 1) take the top 53 bits; Gaussians use Box-Muller.  Child
+Doubles in [0, 1) take the top 53 bits.  Gaussians (numpy Box-Muller) and
+Haar frames (LAPACK QR) may move in their last bits on another numpy/BLAS
+build; the integer and uniform streams do not.  Child
 seeds derive as ``mix64(parent XOR fnv1a64(label))``, where mix64 is the
 finalizer above applied once and fnv1a64 hashes the label string; this is
 the splitting rule used for per-trial and per-component streams.
@@ -29,6 +31,8 @@ from .linalg import eigh, hermitize
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_UNIT = 1.0 / (1 << 53)
 
 # Absolute slack allowed when re-checking that sampled spectra landed inside
 # their hypothesis intervals.
@@ -37,8 +41,8 @@ CONTAINMENT_SLACK = 1e-10
 
 def mix64(z: int) -> int:
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -62,9 +66,20 @@ class SplitMix64:
         self.state = (self.state + _GOLDEN) & _MASK
         return mix64(self.state)
 
+    def next_block(self, count: int) -> np.ndarray:
+        """`count` calls of next_u64 at once (uint64 arrays wrap mod 2^64)."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + self.state
+        self.state = (self.state + count * _GOLDEN) & _MASK
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        return z
+
     def next_float(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        return (self.next_u64() >> 11) * _UNIT
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
@@ -79,44 +94,31 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def gauss_pair(self) -> tuple[float, float]:
-        """Box-Muller; u1 is taken as 1 - next_float() so log(u1) is finite."""
-        u1 = 1.0 - self.next_float()
-        u2 = self.next_float()
-        rad = math.sqrt(-2.0 * math.log(u1))
-        return rad * math.cos(2.0 * math.pi * u2), rad * math.sin(2.0 * math.pi * u2)
-
     def gauss(self, count: int) -> np.ndarray:
-        out = np.empty(count)
-        for i in range(0, count - 1, 2):
-            out[i], out[i + 1] = self.gauss_pair()
-        if count % 2:
-            out[-1] = self.gauss_pair()[0]
-        return out
+        """Box-Muller on float pairs (u1, u2), u1 = 1 - float so log(u1) is
+        finite: rad*cos, rad*sin per pair; an odd count drops a last sine."""
+        u = (self.next_block(count + count % 2) >> 11) * _UNIT
+        rad, theta = u[::2], u[1::2]
+        np.sqrt(-2.0 * np.log(1.0 - rad), out=rad)
+        theta *= 2.0 * math.pi
+        cos = np.cos(theta)
+        np.multiply(rad, np.sin(theta), out=theta)
+        rad *= cos
+        return u[:count]
 
 
 def haar_unitary(n: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-distributed unitary.
+    """Haar-distributed unitary (Mezzadri, Notices AMS 54, 2007).
 
-    Complex Gaussian matrix, then two passes of modified Gram-Schmidt; each
-    pivot is normalized by its (real, positive) length, which is exactly the
-    phase normalization of the triangular factor's diagonal that makes the
-    distribution Haar.
+    QR of a complex Gaussian matrix (real parts first, then imaginary), with
+    column j of Q times the phase d/|d| of d = R[j, j]: R's diagonal is then
+    positive, so Q is the Gram-Schmidt factor and its law is Haar.
     """
     g = rng.gauss(2 * n * n)
-    G = (g[: n * n] + 1j * g[n * n:]).reshape(n, n) / math.sqrt(2.0)
-    Q = G.astype(np.complex128)
-    for _pass in range(2):
-        for j in range(n):
-            for i in range(j):
-                Q[:, j] -= (Q[:, i].conj() @ Q[:, j]) * Q[:, i]
-            Q[:, j] /= np.linalg.norm(Q[:, j])
+    Q, R = np.linalg.qr((g[: n * n] + 1j * g[n * n:]).reshape(n, n))
+    d = R.diagonal()
+    Q *= d / abs(d)
     return Q
-
-
-def haar_isometry(n: int, k: int, rng: SplitMix64) -> np.ndarray:
-    """n x k matrix with orthonormal columns (V* V = I_k)."""
-    return haar_unitary(n, rng)[:, :k].copy()
 
 
 def sample_constrained(
@@ -135,10 +137,9 @@ def sample_constrained(
     if lo == hi:
         return lo * np.eye(n, dtype=np.complex128)
     rng = SplitMix64(seed)
-    lam = np.sort([rng.uniform(lo, hi) for _ in range(n)])
+    lam = np.sort(lo + (hi - lo) * ((rng.next_block(n) >> 11) * _UNIT))
     if force_endpoints and n >= 2:
-        lam[0] = lo
-        lam[-1] = hi
+        lam[[0, -1]] = lo, hi
     Q = haar_unitary(n, rng)
     return hermitize((Q * lam) @ Q.conj().T)
 
@@ -191,6 +192,5 @@ def build_from_spectrum(lam, frame_seed: int) -> np.ndarray:
     explicitly instead of drawing them.
     """
     lam = np.sort(np.asarray(lam, dtype=float))
-    n = lam.size
-    Q = haar_unitary(n, SplitMix64(frame_seed))
+    Q = haar_unitary(lam.size, SplitMix64(frame_seed))
     return hermitize((Q * lam) @ Q.conj().T)

@@ -95,6 +95,8 @@ def test_save_load_json(tmp_path):
 
 
 _U2 = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+_U3 = {"n": 3, "re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+_BOUNDS = SandwichBounds.common(0.5, 2.0).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -104,9 +106,11 @@ _U2 = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
         (obj_to_map, {"kind": "unitary_mixture", "n": 2, "terms": [{"U": _U2}]}),
         (obj_to_map, {"kind": "compression", "n": 2}),
         (obj_to_instance, {"n": 2, "seed": 0, "bounds": [], "A": _U2, "B": _U2}),
+        (obj_to_instance, {"n": 7, "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U2}),
+        (obj_to_instance, {"n": 2, "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U3}),
     ],
     ids=["pinching-without-blocks", "term-without-weight", "compression-without-V",
-         "bounds-not-an-object"],
+         "bounds-not-an-object", "n-disagrees-with-matrices", "A-and-B-differ-in-size"],
 )
 def test_loaders_reject_malformed_payloads(loader, payload):
     with pytest.raises(MalformedSpec):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq.constants import SandwichBounds
+from opineq import sampler
 from opineq.errors import BadBounds, OpineqError
 from opineq.linalg import eigh
 from opineq.sampler import (
@@ -19,6 +20,8 @@ from opineq.sampler import (
     sample_instance,
     verify_instance,
 )
+
+from . import oracles
 
 
 def test_splitmix_reference_vector():
@@ -66,6 +69,63 @@ def test_haar_unitary_is_unitary():
     for n in (1, 2, 5, 8):
         U = haar_unitary(n, SplitMix64(n))
         np.testing.assert_allclose(U @ U.conj().T, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 3])
+def test_next_block_is_the_next_u64_stream(seed):
+    """Bit-identical to repeated next_u64, across the 2^64 wrap too, with the
+    same final state."""
+    for count in (0, 1, 5):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        out = block.next_block(count)
+        assert out.dtype == np.uint64 and out.shape == (count,)
+        assert [int(z) for z in out] == [scalar.next_u64() for _ in range(count)]
+        assert block.state == scalar.state
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 33])
+def test_gauss_matches_scalar_box_muller(count):
+    for seed in (0, 3, 2**64 - 3):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        z = rng.gauss(count)
+        assert z.shape == (count,)
+        np.testing.assert_array_max_ulp(z, np.array(oracles.gauss(ref, count)), maxulp=1)
+        assert rng.state == ref.state
+
+
+def test_gauss_zero_count_is_empty():
+    rng = SplitMix64(9)
+    assert rng.gauss(0).shape == (0,)
+    assert rng.state == SplitMix64(9).state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_haar_unitary_matches_gram_schmidt_oracle(n):
+    """QR plus phase fix gives the two-pass Gram-Schmidt unitary of the same
+    seed, up to rounding, and consumes the same stream."""
+    for seed in range(10):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        U = haar_unitary(n, rng)
+        assert np.abs(U - oracles.haar_gram_schmidt(n, ref)).max() <= 1e-12
+        assert rng.state == ref.state
+
+
+def test_sample_constrained_eigenvalues_are_the_uniform_stream(monkeypatch):
+    """The eigenvalue block is bit-identical to n scalar uniform draws, and
+    the frame is drawn from the generator state they leave."""
+    states = []
+
+    def identity_frame(n, rng):
+        states.append(rng.state)
+        return np.eye(n, dtype=np.complex128)
+
+    monkeypatch.setattr(sampler, "haar_unitary", identity_frame)
+    for n, lo, hi, seed in ((1, 0.5, 2.0, 1), (3, 1.0, 3.0, 7), (16, 0.1, 9.0, 2**64 - 3)):
+        A = sample_constrained(n, lo, hi, seed)
+        rng = SplitMix64(seed)
+        lam = np.sort([rng.uniform(lo, hi) for _ in range(n)])
+        np.testing.assert_array_equal(A, np.diag(lam).astype(np.complex128))
+        assert states.pop() == rng.state
 
 
 def test_sample_constrained_containment():
