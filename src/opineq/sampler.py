@@ -1,7 +1,7 @@
 """Seeded generation of Hermitian instances inside spectral hypotheses.
 
 All randomness flows from SplitMix64, a 64-bit counter-based generator with
-an exactly specified integer recurrence, so reports are reproducible
+an exactly specified integer recurrence, so its streams are reproducible
 bit-for-bit across runs and platforms:
 
     state' = (state + 0x9E3779B97F4A7C15) mod 2^64

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opineq.constants import SandwichBounds
 from opineq import sampler
+from opineq.constants import SandwichBounds
 from opineq.errors import BadBounds, OpineqError
 from opineq.linalg import eigh
 from opineq.sampler import (
@@ -85,18 +85,14 @@ def test_next_block_is_the_next_u64_stream(seed):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 33])
 def test_gauss_matches_scalar_box_muller(count):
+    """Within 1 ulp of the scalar loop, with the same final state; a zero
+    count gives an empty array and leaves the state alone."""
     for seed in (0, 3, 2**64 - 3):
         rng, ref = SplitMix64(seed), SplitMix64(seed)
         z = rng.gauss(count)
         assert z.shape == (count,)
         np.testing.assert_array_max_ulp(z, np.array(oracles.gauss(ref, count)), maxulp=1)
         assert rng.state == ref.state
-
-
-def test_gauss_zero_count_is_empty():
-    rng = SplitMix64(9)
-    assert rng.gauss(0).shape == (0,)
-    assert rng.state == SplitMix64(9).state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
