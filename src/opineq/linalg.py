@@ -78,9 +78,12 @@ def hermitize(A) -> np.ndarray:
 
     Used after products like U diag U* whose rounding errors are not exactly
     symmetric; keeps every intermediate inside the Hermitian invariant.
+    A stack of square matrices is projected matrix by matrix.
     """
-    M = as_matrix(A)
-    return 0.5 * (M + M.conj().T)
+    M = np.asarray(A, dtype=np.complex128)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {M.shape}")
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def eigh(A) -> SpectralDecomposition:

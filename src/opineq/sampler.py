@@ -67,14 +67,9 @@ class SplitMix64:
         return mix64(self.state)
 
     def next_block(self, count: int) -> np.ndarray:
-        """`count` calls of next_u64 at once (uint64 arrays wrap mod 2^64)."""
-        z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + self.state
+        """`count` calls of next_u64 at once."""
+        z = _mix_rows(self.state, count)
         self.state = (self.state + count * _GOLDEN) & _MASK
-        z ^= z >> 30
-        z *= _MIX1
-        z ^= z >> 27
-        z *= _MIX2
-        z ^= z >> 31
         return z
 
     def next_float(self) -> float:
@@ -95,30 +90,81 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def gauss(self, count: int) -> np.ndarray:
-        """Box-Muller on float pairs (u1, u2), u1 = 1 - float so log(u1) is
-        finite: rad*cos, rad*sin per pair; an odd count drops a last sine."""
-        u = (self.next_block(count + count % 2) >> 11) * _UNIT
-        rad, theta = u[::2], u[1::2]
-        np.sqrt(-2.0 * np.log(1.0 - rad), out=rad)
-        theta *= 2.0 * math.pi
-        cos = np.cos(theta)
-        np.multiply(rad, np.sin(theta), out=theta)
-        rad *= cos
-        return u[:count]
+        """`count` normals by Box-Muller; an odd count drops a last sine."""
+        return _box_muller(self.next_block(count + count % 2))[:count]
+
+
+def _mix_rows(states, count: int) -> np.ndarray:
+    """Row i holds `count` next_u64 outputs of a SplitMix64 at states[i]: the
+    mix64 finalizer of states[i] + k*GOLDEN, k = 1..count (uint64 arrays wrap
+    mod 2^64).  A scalar state gives one row of shape (count,)."""
+    k = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.asarray(states, dtype=np.uint64)[..., None] + k * _GOLDEN
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _box_muller(z: np.ndarray) -> np.ndarray:
+    """Normals from integer pairs along the last axis: floats (u1, u2) from
+    the top 53 bits, u1 = 1 - float so log(u1) is finite, then rad*cos and
+    rad*sin per pair."""
+    u = (z >> 11) * _UNIT
+    rad, theta = u[..., ::2], u[..., 1::2]
+    np.sqrt(-2.0 * np.log(1.0 - rad), out=rad)
+    theta *= 2.0 * math.pi
+    cos = np.cos(theta)
+    np.multiply(rad, np.sin(theta), out=theta)
+    rad *= cos
+    return u
+
+
+def _haar(g: np.ndarray, n: int) -> np.ndarray:
+    """Haar unitaries from 2n^2 normals along the last axis (Mezzadri,
+    Notices AMS 54, 2007): QR of the complex Gaussian matrix (real parts
+    first, then imaginary), with column j of Q times the phase d/|d| of
+    d = R[j, j], so R's diagonal is positive and Q's law is Haar."""
+    Z = (g[..., : n * n] + 1j * g[..., n * n:]).reshape(g.shape[:-1] + (n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q *= (d / abs(d))[..., None, :]
+    return Q
+
+
+def _compose(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """hermitize(Q diag(lam) Q*), over a stack too."""
+    return hermitize((Q * lam[..., None, :]) @ Q.conj().swapaxes(-1, -2))
 
 
 def haar_unitary(n: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-distributed unitary (Mezzadri, Notices AMS 54, 2007).
+    """Haar-distributed unitary from the next 2n^2 normals of `rng`."""
+    return _haar(rng.gauss(2 * n * n), n)
 
-    QR of a complex Gaussian matrix (real parts first, then imaginary), with
-    column j of Q times the phase d/|d| of d = R[j, j]: R's diagonal is then
-    positive, so Q is the Gram-Schmidt factor and its law is Haar.
-    """
-    g = rng.gauss(2 * n * n)
-    Q, R = np.linalg.qr((g[: n * n] + 1j * g[n * n:]).reshape(n, n))
-    d = R.diagonal()
-    Q *= d / abs(d)
-    return Q
+
+def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.ndarray:
+    """Stack of sample_constrained(n, lo[i], hi[i], seeds[i], force_endpoints),
+    each slice bit-identical to its single draw.  Each live row takes n
+    eigenvalues, then 2n^2 frame normals, from its own stream; all rows share
+    one finalizer pass, one batched QR and one batched product."""
+    if n < 1:
+        raise BadBounds(f"need n >= 1, got {n}")
+    for a, b in zip(lo, hi):
+        if not 0.0 < a <= b:
+            raise BadBounds(f"need 0 < lo <= hi, got lo={a}, hi={b}")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = lo[:, None, None] * np.eye(n, dtype=np.complex128)
+    live = lo < hi
+    if live.any():
+        lo, hi = lo[live, None], hi[live, None]
+        z = _mix_rows(np.asarray(seeds, dtype=np.uint64)[live], n + 2 * n * n)
+        lam = np.sort(lo + (hi - lo) * ((z[:, :n] >> 11) * _UNIT))
+        if force_endpoints and n >= 2:
+            lam[:, 0], lam[:, -1] = lo[:, 0], hi[:, 0]
+        out[live] = _compose(_haar(_box_muller(z[:, n:]), n), lam)
+    return out
 
 
 def sample_constrained(
@@ -130,18 +176,7 @@ def sample_constrained(
     Haar; with force_endpoints and n >= 2 the extreme eigenvalues are pinned
     to lo and hi exactly.  A degenerate interval returns lo*I for any seed.
     """
-    if n < 1:
-        raise BadBounds(f"need n >= 1, got {n}")
-    if not 0.0 < lo <= hi:
-        raise BadBounds(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
-    if lo == hi:
-        return lo * np.eye(n, dtype=np.complex128)
-    rng = SplitMix64(seed)
-    lam = np.sort(lo + (hi - lo) * ((rng.next_block(n) >> 11) * _UNIT))
-    if force_endpoints and n >= 2:
-        lam[[0, -1]] = lo, hi
-    Q = haar_unitary(n, rng)
-    return hermitize((Q * lam) @ Q.conj().T)
+    return sample_stack(n, [lo], [hi], [seed], force_endpoints)[0]
 
 
 @dataclass(frozen=True)
@@ -176,13 +211,22 @@ def sample_instance(
     bounds: SandwichBounds, n: int, seed: int, force_endpoints: bool = False
 ) -> Instance:
     """Sample (A, B) inside the intervals prescribed by the bounds kind."""
-    alo, ahi = bounds.a_interval()
-    blo, bhi = bounds.b_interval()
-    A = sample_constrained(n, alo, ahi, derive_seed(seed, "A"), force_endpoints)
-    B = sample_constrained(n, blo, bhi, derive_seed(seed, "B"), force_endpoints)
-    inst = Instance(A=A, B=B, bounds=bounds, seed=seed, n=n)
+    inst = stack_instances([bounds], n, [seed], force_endpoints)[0]
     verify_instance(inst)
     return inst
+
+
+def stack_instances(bounds, n: int, seeds, force_endpoints: bool = False) -> list[Instance]:
+    """Unverified instances for bounds[i] and seeds[i], all drawn as one
+    stack; the pair of seed s takes A from derive_seed(s, "A") and B from
+    derive_seed(s, "B").  A stack holds 2 * len(seeds) * n^2 * 16 bytes."""
+    iv = np.array([b.a_interval() + b.b_interval() for b in bounds], dtype=float).reshape(-1, 2)
+    labelled = [derive_seed(s, label) for s in seeds for label in "AB"]
+    AB = sample_stack(n, iv[:, 0], iv[:, 1], labelled, force_endpoints)
+    return [
+        Instance(A=AB[2 * i], B=AB[2 * i + 1], bounds=b, seed=s, n=n)
+        for i, (b, s) in enumerate(zip(bounds, seeds))
+    ]
 
 
 def build_from_spectrum(lam, frame_seed: int) -> np.ndarray:
@@ -192,5 +236,4 @@ def build_from_spectrum(lam, frame_seed: int) -> np.ndarray:
     explicitly instead of drawing them.
     """
     lam = np.sort(np.asarray(lam, dtype=float))
-    Q = haar_unitary(lam.size, SplitMix64(frame_seed))
-    return hermitize((Q * lam) @ Q.conj().T)
+    return _compose(haar_unitary(lam.size, SplitMix64(frame_seed)), lam)

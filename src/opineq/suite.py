@@ -27,7 +27,7 @@ from .constants import CaseParams, SandwichBounds
 from .errors import ConfigInvalid, HypothesisNotMet
 from .io import dumps_canonical, instance_to_obj, map_to_obj
 from .maps import MAP_KINDS, random_map
-from .sampler import Instance, SplitMix64, build_from_spectrum, derive_seed, sample_instance
+from .sampler import Instance, SplitMix64, build_from_spectrum, derive_seed, stack_instances
 from .verifier import (
     ALPHA_GRID,
     DEFAULT_TOL,
@@ -175,34 +175,35 @@ def _case_params(cfg: SuiteConfig, entry: RegistryEntry, trial: int) -> CasePara
     return CaseParams(nu=nu, p=p, alpha=alpha)
 
 
-def _build_case(cfg: SuiteConfig, entry: RegistryEntry, n: int, trial: int) -> InequalityCase:
-    case_seed = derive_seed(cfg.seed, entry.ineq_id, n, trial)
-    if cfg.fixed_bounds is not None:
-        bounds = cfg.fixed_bounds
-    else:
-        kind = entry.kinds[trial % len(entry.kinds)]
-        bounds = _draw_bounds(entry, kind, SplitMix64(derive_seed(case_seed, "bounds")))
-    instance = sample_instance(
-        bounds, n, derive_seed(case_seed, "instance"), cfg.force_endpoints
+def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[InequalityCase]:
+    """The block's cases in trial order, their instances drawn as one stack.
+    They are not verified here: check_case verifies each before checking it."""
+    seeds = [derive_seed(cfg.seed, entry.ineq_id, n, t) for t in range(cfg.trials)]
+    bounds = [
+        cfg.fixed_bounds if cfg.fixed_bounds is not None else _draw_bounds(
+            entry, entry.kinds[t % len(entry.kinds)], SplitMix64(derive_seed(s, "bounds")))
+        for t, s in enumerate(seeds)
+    ]
+    instances = stack_instances(
+        bounds, n, [derive_seed(s, "instance") for s in seeds], cfg.force_endpoints
     )
-    phi = None
-    if entry.uses_phi:
-        map_kind = MAP_KINDS[trial % len(MAP_KINDS)]
-        phi = random_map(n, map_kind, derive_seed(case_seed, "map"))
-    return InequalityCase(
-        ineq_id=entry.ineq_id,
-        instance=instance,
-        phi=phi,
-        params=_case_params(cfg, entry, trial),
-    )
+    return [
+        InequalityCase(
+            ineq_id=entry.ineq_id,
+            instance=instance,
+            phi=random_map(n, MAP_KINDS[t % len(MAP_KINDS)], derive_seed(s, "map"))
+            if entry.uses_phi else None,
+            params=_case_params(cfg, entry, t),
+        )
+        for t, (s, instance) in enumerate(zip(seeds, instances))
+    ]
 
 
 def _run_block(cfg: SuiteConfig, ineq_id: str, n: int) -> list[dict]:
     entry = get_entry(ineq_id)
     scale = cfg.mutate.get(ineq_id, 1.0)
     out = []
-    for trial in range(cfg.trials):
-        case = _build_case(cfg, entry, n, trial)
+    for trial, case in enumerate(_block_cases(cfg, entry, n)):
         verdict = check_case(case, tol=cfg.tol, constant_scale=scale)
         row = {
             "id": ineq_id,

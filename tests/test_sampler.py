@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opineq import sampler
 from opineq.constants import SandwichBounds
 from opineq.errors import BadBounds, OpineqError
-from opineq.linalg import eigh
+from opineq.linalg import eigh, hermitize
 from opineq.sampler import (
     Instance,
     SplitMix64,
@@ -106,22 +106,46 @@ def test_haar_unitary_matches_gram_schmidt_oracle(n):
         assert rng.state == ref.state
 
 
-def test_sample_constrained_eigenvalues_are_the_uniform_stream(monkeypatch):
+def test_sample_constrained_eigenvalues_are_the_uniform_stream():
     """The eigenvalue block is bit-identical to n scalar uniform draws, and
     the frame is drawn from the generator state they leave."""
-    states = []
-
-    def identity_frame(n, rng):
-        states.append(rng.state)
-        return np.eye(n, dtype=np.complex128)
-
-    monkeypatch.setattr(sampler, "haar_unitary", identity_frame)
     for n, lo, hi, seed in ((1, 0.5, 2.0, 1), (3, 1.0, 3.0, 7), (16, 0.1, 9.0, 2**64 - 3)):
         A = sample_constrained(n, lo, hi, seed)
         rng = SplitMix64(seed)
         lam = np.sort([rng.uniform(lo, hi) for _ in range(n)])
-        np.testing.assert_array_equal(A, np.diag(lam).astype(np.complex128))
-        assert states.pop() == rng.state
+        Q = haar_unitary(n, rng)
+        np.testing.assert_array_equal(A, hermitize((Q * lam) @ Q.conj().T))
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 34])
+def test_row_mixer_is_next_block_per_state(count):
+    """Row i of the mixer is next_block of a generator at states[i], and the
+    rows of a longer block continue from that generator's end state."""
+    states = [0, 42, 2**64 - 3, 2**63 + 1]
+    rows = sampler._mix_rows(states, 2 * count)
+    assert rows.shape == (len(states), 2 * count)
+    for row, state in zip(rows, states):
+        rng = SplitMix64(state)
+        np.testing.assert_array_equal(row[:count], rng.next_block(count))
+        assert rng.state == (state + count * 0x9E3779B97F4A7C15) % 2**64
+        np.testing.assert_array_equal(row[count:], rng.next_block(count))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("force_endpoints", [False, True])
+def test_sample_stack_is_the_single_draws(n, force_endpoints):
+    """Each slice of one mixed stack, degenerate rows included, equals the
+    single draw of its own seed bit for bit."""
+    lo = [1.0, 2.0, 0.5, 0.3, 1.5, 7.0, 1.0]
+    hi = [3.0, 2.0, 4.0, 0.3, 9.0, 7.5, 1.0 + 2**-40]
+    seeds = [0, 1, 2**64 - 3, 5, 2**64 - 3, 123456789, 2**63]
+    stack = sampler.sample_stack(n, lo, hi, seeds, force_endpoints)
+    assert stack.shape == (len(seeds), n, n)
+    for X, a, b, seed in zip(stack, lo, hi, seeds):
+        np.testing.assert_array_equal(X, sample_constrained(n, a, b, seed, force_endpoints))
+        if a == b:
+            np.testing.assert_array_equal(X, a * np.eye(n))
+    assert sampler.sample_stack(n, [], [], [], force_endpoints).shape == (0, n, n)
 
 
 def test_sample_constrained_containment():

@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from opineq import linalg
+from opineq import linalg, sampler, verifier
 from opineq.constants import SandwichBounds
 from opineq.errors import ConfigInvalid, UnknownInequality
-from opineq.suite import Report, SuiteConfig, run_suite, tightness_search
+from opineq.sampler import SplitMix64, derive_seed, sample_constrained, sample_instance
+from opineq.suite import (
+    Report,
+    SuiteConfig,
+    _block_cases,
+    _draw_bounds,
+    run_suite,
+    tightness_search,
+)
+from opineq.verifier import get_entry
 
 
 def small_config(**kw):
@@ -122,6 +131,45 @@ def test_fixed_bounds_flow_through():
     rep = run_suite(cfg)
     for row in rep.cases:
         assert row["params"]["bounds"] == {"kind": "common", "m": 1.0, "M": 3.0}
+
+
+@pytest.mark.parametrize("force_endpoints", [False, True])
+def test_block_instances_are_sample_instance_and_verified_once(monkeypatch, force_endpoints):
+    """The block's stacked draw gives, trial by trial, the instance that
+    sample_instance draws for the trial's bounds and instance seed; and a
+    suite run verifies each case's containment exactly once."""
+    cfg = small_config(ids=("thm2.7-phi-inside", "seo", "amgm"), force_endpoints=force_endpoints)
+    for ineq_id in cfg.ids:
+        entry = get_entry(ineq_id)
+        for n in cfg.dims:
+            for trial, case in enumerate(_block_cases(cfg, entry, n)):
+                case_seed = derive_seed(cfg.seed, ineq_id, n, trial)
+                bounds = _draw_bounds(entry, entry.kinds[trial % len(entry.kinds)],
+                                      SplitMix64(derive_seed(case_seed, "bounds")))
+                instance_seed = derive_seed(case_seed, "instance")
+                ref = sample_instance(bounds, n, instance_seed, force_endpoints)
+                got = case.instance
+                assert (got.bounds, got.seed, got.n) == (bounds, ref.seed, n)
+                np.testing.assert_array_equal(got.A, ref.A)
+                np.testing.assert_array_equal(got.B, ref.B)
+                for X, label, (lo, hi) in ((got.A, "A", bounds.a_interval()),
+                                           (got.B, "B", bounds.b_interval())):
+                    single = sample_constrained(n, lo, hi, derive_seed(ref.seed, label),
+                                                force_endpoints)
+                    np.testing.assert_array_equal(X, single)
+
+    seen = []
+    real = sampler.verify_instance
+
+    def counting(inst, *args, **kwargs):
+        seen.append(inst.seed)
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "verify_instance", counting)
+    monkeypatch.setattr(verifier, "verify_instance", counting)
+    report = run_suite(cfg)
+    assert sorted(seen) == sorted(row["seed"] for row in report.cases)
+    assert len(seen) == len(report.cases) == 3 * 2 * 4
 
 
 def test_search_amgm_reaches_equality():

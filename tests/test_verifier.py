@@ -309,12 +309,12 @@ def test_norm_form_entries_report_scalars():
 
 def test_every_entry_checks_one_sampled_case():
     """Each registry entry accepts a case built the way the suite builds them."""
-    from opineq.suite import SuiteConfig, _build_case
+    from opineq.suite import SuiteConfig, _block_cases
 
     cfg = SuiteConfig(trials=1, seed=123)
     for ineq_id in registry_ids():
         entry = get_entry(ineq_id)
-        case = _build_case(cfg, entry, 3, 0)
+        (case,) = _block_cases(cfg, entry, 3)
         v = check_case(case)
         assert np.isfinite(v.gap), ineq_id
         assert np.isfinite(v.relative_gap), ineq_id
