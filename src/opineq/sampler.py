@@ -159,7 +159,7 @@ def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.nda
     live = lo < hi
     if live.any():
         lo, hi = lo[live, None], hi[live, None]
-        z = _mix_rows(np.asarray(seeds, dtype=np.uint64)[live], n + 2 * n * n)
+        z = _mix_rows(np.array([s & _MASK for s in seeds], dtype=np.uint64)[live], n + 2 * n * n)
         lam = np.sort(lo + (hi - lo) * ((z[:, :n] >> 11) * _UNIT))
         if force_endpoints and n >= 2:
             lam[:, 0], lam[:, -1] = lo[:, 0], hi[:, 0]

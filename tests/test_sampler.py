@@ -173,6 +173,10 @@ def test_sample_constrained_deterministic():
     np.testing.assert_array_equal(A, B)
     C = sample_constrained(4, 1.0, 2.0, seed=34)
     assert not np.array_equal(A, C)
+    # seeds are taken mod 2^64, as SplitMix64 takes them
+    np.testing.assert_array_equal(sample_constrained(4, 1.0, 2.0, seed=-1),
+                                  sample_constrained(4, 1.0, 2.0, seed=2**64 - 1))
+    np.testing.assert_array_equal(sample_constrained(4, 1.0, 2.0, seed=2**64 + 33), A)
 
 
 def test_sample_constrained_errors():
