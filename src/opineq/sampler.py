@@ -95,11 +95,10 @@ class SplitMix64:
 
 
 def _mix_rows(states, count: int) -> np.ndarray:
-    """Row i holds `count` next_u64 outputs of a SplitMix64 at states[i]: the
-    mix64 finalizer of states[i] + k*GOLDEN, k = 1..count (uint64 arrays wrap
-    mod 2^64).  A scalar state gives one row of shape (count,)."""
-    k = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.asarray(states, dtype=np.uint64)[..., None] + k * _GOLDEN
+    """`count` next_u64 outputs of a SplitMix64 at each state, along the last
+    axis: the mix64 finalizer of state + k*GOLDEN, k = 1..count (uint64
+    arrays wrap mod 2^64).  `states` is one int, or a uint64 column."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + states
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
@@ -129,7 +128,7 @@ def _haar(g: np.ndarray, n: int) -> np.ndarray:
     d = R[j, j], so R's diagonal is positive and Q's law is Haar."""
     Z = (g[..., : n * n] + 1j * g[..., n * n:]).reshape(g.shape[:-1] + (n, n))
     Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
+    d = R.diagonal(0, -2, -1)
     Q *= (d / abs(d))[..., None, :]
     return Q
 
@@ -159,7 +158,7 @@ def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.nda
     live = lo < hi
     if live.any():
         lo, hi = lo[live, None], hi[live, None]
-        z = _mix_rows(np.array([s & _MASK for s in seeds], dtype=np.uint64)[live], n + 2 * n * n)
+        z = _mix_rows(np.array([[s & _MASK] for s in seeds], dtype=np.uint64)[live], n + 2 * n * n)
         lam = np.sort(lo + (hi - lo) * ((z[:, :n] >> 11) * _UNIT))
         if force_endpoints and n >= 2:
             lam[:, 0], lam[:, -1] = lo[:, 0], hi[:, 0]

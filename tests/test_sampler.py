@@ -122,7 +122,7 @@ def test_row_mixer_is_next_block_per_state(count):
     """Row i of the mixer is next_block of a generator at states[i], and the
     rows of a longer block continue from that generator's end state."""
     states = [0, 42, 2**64 - 3, 2**63 + 1]
-    rows = sampler._mix_rows(states, 2 * count)
+    rows = sampler._mix_rows(np.array(states, dtype=np.uint64)[:, None], 2 * count)
     assert rows.shape == (len(states), 2 * count)
     for row, state in zip(rows, states):
         rng = SplitMix64(state)
