@@ -51,6 +51,8 @@ def _obj_to_array(obj: dict, shape_keys: tuple[str, ...]) -> np.ndarray:
     for name, part in (("re", re), ("im", im)):
         if part.shape != shape:
             raise MalformedSpec(f"{name} field has shape {part.shape}, expected {shape}")
+        if not np.all(np.isfinite(part)):
+            raise MalformedSpec(f"{name} field has a non-finite or missing entry")
     return re + 1j * im
 
 

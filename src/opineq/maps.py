@@ -57,6 +57,13 @@ class MapSpec:
         return self.kind
 
 
+def _unitary_residual(V: np.ndarray, k: int) -> float:
+    """max |V* V - I_k|; an entry large enough to overflow gives inf, which
+    fails the tolerance like NaN does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(V.conj().T @ V - np.eye(k)))
+
+
 def _structural_check(phi: MapSpec):
     """Certify a spec when it is constructed; the comparisons are written so
     that NaN fails them."""
@@ -71,7 +78,7 @@ def _structural_check(phi: MapSpec):
         k = V.shape[1]
         if not 1 <= k <= phi.n:
             raise MalformedSpec(f"compression rank {k} outside [1, {phi.n}]")
-        resid = np.max(np.abs(V.conj().T @ V - np.eye(k)))
+        resid = _unitary_residual(V, k)
         if not resid <= STRUCT_TOL:
             raise MalformedSpec(f"compression columns not isometric: residual {resid:.3e}")
     elif phi.kind == "pinching":
@@ -90,7 +97,7 @@ def _structural_check(phi: MapSpec):
             U = np.asarray(U)
             if U.shape != (phi.n, phi.n):
                 raise MalformedSpec("mixture unitary has the wrong shape")
-            resid = np.max(np.abs(U.conj().T @ U - np.eye(phi.n)))
+            resid = _unitary_residual(U, phi.n)
             if not resid <= STRUCT_TOL:
                 raise MalformedSpec(f"mixture factor not unitary: residual {resid:.3e}")
         if not abs(total - 1.0) <= STRUCT_TOL:

@@ -56,6 +56,19 @@ def test_matrix_bad_shapes():
         obj_to_matrix({"re": [[1.0]]})
 
 
+def test_loaders_reject_nonfinite_and_overflowing_entries():
+    """A null or infinite entry, or one whose square overflows in the
+    unitarity residual, is a MalformedSpec rather than a numpy warning."""
+    for entry in (None, float("inf"), float("nan")):
+        with pytest.raises(MalformedSpec):
+            obj_to_matrix({"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [entry, 0.0]]})
+    huge = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 1.5e154]]}
+    with pytest.raises(MalformedSpec):
+        obj_to_map({"kind": "unitary_mixture", "n": 2, "terms": [{"weight": 1.0, "U": huge}]})
+    with pytest.raises(MalformedSpec):
+        obj_to_map({"kind": "compression", "n": 2, "V": dict(huge, rows=2, cols=2)})
+
+
 def test_rect_roundtrip():
     V = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)
     back = obj_to_rect(rect_to_obj(V.astype(np.complex128)))
