@@ -251,14 +251,6 @@ def _hp_of(bounds: SandwichBounds) -> float:
     return bounds.h  # common bounds: h' := h
 
 
-def _c_lin(bounds, prm):
-    return kantorovich(bounds.h)
-
-
-def _c_lin_squared(bounds, prm):
-    return kantorovich(bounds.h) ** 2
-
-
 def _c_lin_power(bounds, prm):
     return kantorovich(bounds.h) ** prm.p
 
@@ -282,11 +274,6 @@ def _c_thm13(bounds, prm):
     K = kantorovich(bounds.h)
     Kp = kantorovich(_hp_of(bounds))
     return (K / (4.0 ** (2.0 / prm.p - 1.0) * Kp ** r)) ** prm.p
-
-
-def _c_thm24(bounds, prm):
-    _, r1 = weights(prm.nu)
-    return (kantorovich(bounds.h) / kantorovich(math.sqrt(_hp_of(bounds))) ** r1) ** 2
 
 
 def _c_cor26(bounds, prm):
@@ -336,8 +323,14 @@ def _c_thm210(bounds, prm):
 
 
 def _reverse_ratios(bounds: SandwichBounds) -> tuple[float, float]:
-    """(m2/M1, M2/m1): the unsquared cross ratios of a reverse-Ando pair."""
-    return (bounds.m2 / bounds.M1, bounds.M2 / bounds.m1)
+    """(m2/M1, M2/m1): the unsquared cross ratios of a reverse-Ando pair.
+
+    In comparison mode (m, M) bound the condition operator directly, so the
+    ratios are (sqrt(m), sqrt(M)).
+    """
+    if bounds.kind == "reverse_ando":
+        return (bounds.m2 / bounds.M1, bounds.M2 / bounds.m1)
+    return (math.sqrt(bounds.m), math.sqrt(bounds.M))
 
 
 def _gk_inv(lo: float, hi: float, nu: float) -> float:
@@ -347,19 +340,12 @@ def _gk_inv(lo: float, hi: float, nu: float) -> float:
 
 
 def _c_lee(bounds, prm):
-    if bounds.kind == "reverse_ando":
-        mm, MM = _reverse_ratios(bounds)
-    else:
-        # comparison mode: (m, M) bound the condition operator directly
-        mm, MM = math.sqrt(bounds.m), math.sqrt(bounds.M)
+    mm, MM = _reverse_ratios(bounds)
     return (mm + MM) / (2.0 * math.sqrt(mm * MM))
 
 
 def _c_lee_printed(bounds, prm):
-    if bounds.kind == "reverse_ando":
-        mm, MM = _reverse_ratios(bounds)
-    else:
-        mm, MM = math.sqrt(bounds.m), math.sqrt(bounds.M)
+    mm, MM = _reverse_ratios(bounds)
     return (math.sqrt(MM) + math.sqrt(mm)) / (2.0 * math.sqrt(MM * mm))
 
 
@@ -382,12 +368,9 @@ def _c_thm33_hprime(bounds, prm):
 
 def _c_thm34(bounds, prm):
     r, _ = weights(prm.nu)
-    if bounds.kind == "reverse_ando":
-        mm, MM = _reverse_ratios(bounds)
-        h = bounds.m2 ** 2 / bounds.M1 ** 2
-        return _gk_inv(mm ** 2, MM ** 2, prm.nu) * kantorovich(h) ** (-r)
     # comparison mode pins h := M/m
-    return _gk_inv(bounds.m, bounds.M, prm.nu) * kantorovich(bounds.h) ** (-r)
+    h = bounds.m2 ** 2 / bounds.M1 ** 2 if bounds.kind == "reverse_ando" else bounds.h
+    return _c_seo(bounds, prm) * kantorovich(h) ** (-r)
 
 
 def _c_one(bounds, prm):

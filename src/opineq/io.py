@@ -27,14 +27,20 @@ def _grid(values: np.ndarray) -> list:
     return [[float(x) for x in row] for row in values]
 
 
-def matrix_to_obj(A: np.ndarray) -> dict:
+def _array_to_obj(A: np.ndarray, shape_keys: tuple[str, ...]) -> dict:
     M = np.asarray(A, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise MalformedSpec(f"matrix payload must be square, got shape {M.shape}")
-    obj = {"n": int(M.shape[0]), "re": _grid(M.real)}
+    square = shape_keys == ("n",)
+    if M.ndim != 2 or (square and M.shape[0] != M.shape[1]):
+        raise MalformedSpec(f"expected a {'square ' if square else ''}matrix, got shape {M.shape}")
+    obj = {key: int(size) for key, size in zip(shape_keys, M.shape)}
+    obj["re"] = _grid(M.real)
     if np.any(M.imag != 0.0):
         obj["im"] = _grid(M.imag)
     return obj
+
+
+def matrix_to_obj(A: np.ndarray) -> dict:
+    return _array_to_obj(A, ("n",))
 
 
 # What a malformed JSON payload makes numpy and the builtins raise.
@@ -61,13 +67,7 @@ def obj_to_matrix(obj: dict) -> np.ndarray:
 
 
 def rect_to_obj(V: np.ndarray) -> dict:
-    M = np.asarray(V, dtype=np.complex128)
-    if M.ndim != 2:
-        raise MalformedSpec(f"expected a matrix, got shape {M.shape}")
-    obj = {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "re": _grid(M.real)}
-    if np.any(M.imag != 0.0):
-        obj["im"] = _grid(M.imag)
-    return obj
+    return _array_to_obj(V, ("rows", "cols"))
 
 
 def obj_to_rect(obj: dict) -> np.ndarray:

@@ -108,11 +108,6 @@ def _eigh_of_bytes(n: int, data: bytes) -> SpectralDecomposition:
     return SpectralDecomposition(w, V)
 
 
-def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
-    w, U = decomp
-    return hermitize((U * w) @ U.conj().T)
-
-
 def matrix_power(A, t: float) -> np.ndarray:
     """Real power A^t through the spectral calculus.
 

@@ -57,7 +57,7 @@ class SuiteConfig:
     ids=None means the full registry.  trials counts cases per (id, n)
     pair.  nu_grid / p_grid / alpha_grid, when given, replace the built-in
     parameter grids; fixed_bounds replaces the per-case bounds draw.
-    mutate maps registry ids to factors applied to the right-hand side —
+    mutate maps registry ids to factors applied to the row's constant —
     a deliberate fault injection used to prove the checker notices.
     workers parallelizes the run without affecting the output.
     """

@@ -4,7 +4,8 @@ Every displayed inequality is one row of ``_TABLE``, keyed by its base name.
 A row holds the whole statement: the bounds kinds its spectral hypothesis
 accepts, its parameter domain, its constant (a scalar formula from
 ``constants``), and a ``sides`` function that builds both sides of the
-inequality.  It also says how the suite exercises the entry.  Adding an
+inequality without the constant; ``check_case`` multiplies the constant onto
+the side the row names.  It also says how the suite exercises the entry.  Adding an
 inequality means adding one row.
 
 Where a theorem states two conclusions — the map of the mean versus the
@@ -61,7 +62,7 @@ ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 
 class Operands(NamedTuple):
     """What a row's `sides` function reads: the pair, the map, the bounds,
-    the resolved exponents, the row's constant, and the displayed form."""
+    the resolved exponents, and the displayed form."""
 
     A: np.ndarray
     B: np.ndarray
@@ -70,7 +71,6 @@ class Operands(NamedTuple):
     nu: float
     p: float
     alpha: float
-    c: float
     outside: bool
 
 
@@ -80,12 +80,14 @@ class RegistryEntry:
     suite exercises it.
 
     kinds: the bounds kinds the spectral hypothesis accepts.
-    sides: Operands -> ("loewner", lhs, rhs), checked as lhs <= rhs, or
-    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= rhs_norm.
-    constant: (bounds, params) -> the scalar the statement places in front
-    of its right side.
+    sides: Operands -> ("loewner", lhs, rhs), checked as lhs <= c * rhs, or
+    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= c * rhs_norm; the
+    sides never carry the constant c.
+    constant: (bounds, params) -> the scalar c the statement places in
+    front of one side.
     domain: (bounds, params) -> None, or the clause of the hypothesis the
     case violates (spectral clauses beyond the kind, and the power range).
+    constant_left: c multiplies the left side instead of the right.
     nu_mode: "grid" (the weight is a free parameter), "half" (the display
     fixes nu = 1/2), or "any" (nu does not enter; echoed only).
     p_grid: powers exercised by the default suite — the minimal admissible
@@ -102,6 +104,7 @@ class RegistryEntry:
     sides: Callable[[Operands], tuple]
     constant: Callable = C._c_one
     domain: Optional[Callable] = None
+    constant_left: bool = False
     uses_phi: bool = True
     nu_mode: str = "grid"
     p_grid: tuple | str = (1.0,)
@@ -200,11 +203,7 @@ def _map_domination(x):
 
 def _reverse_domination(x):
     lhs = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
-    return "loewner", lhs, x.c * apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
-
-
-def _mean_comparison(x):
-    return "loewner", x.c * geometric_mean(x.A, x.B, x.nu), arithmetic_mean(x.A, x.B, x.nu)
+    return "loewner", lhs, apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
 
 
 def _norm_refinement(x):
@@ -215,12 +214,12 @@ def _norm_refinement(x):
 
 
 def _reverse_power(x, left):
-    """Phi^p(left) <= c * (mean block)^p, the mean block taken in the entry's form."""
+    """Phi^p(left) against (mean block)^p, the mean block taken in the entry's form."""
     if x.outside:
         mean = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
     else:
         mean = apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
-    return "loewner", matrix_power(apply_map(x.phi, left), x.p), x.c * matrix_power(mean, x.p)
+    return "loewner", matrix_power(apply_map(x.phi, left), x.p), matrix_power(mean, x.p)
 
 
 def _reverse_am(x):
@@ -233,16 +232,16 @@ def _reverse_bracket(x):
 
 
 # --- the table --------------------------------------------------------------
-# Each row: id, summary, bounds kinds, sides, constant, domain, then how the
-# suite exercises it.
+# Each row: id, summary, bounds kinds, sides, constant, domain, then where the
+# constant sits (right unless constant_left) and how the suite exercises it.
 
 _TABLE: dict[str, RegistryEntry] = {row.ineq_id: row for row in (
     RegistryEntry("amgm", "weighted arithmetic-geometric mean inequality A #_nu B <= A nabla_nu B",
                   ALL_KINDS, _amgm, uses_phi=False),
     RegistryEntry("lin", "reverse AM-GM under a positive unital map: Phi(A nabla B) <= K(h) Phi(A # B)",
-                  COMMON, _reverse_am, C._c_lin, _p_is(1.0), nu_mode="half"),
+                  COMMON, _reverse_am, C._c_lin_power, _p_is(1.0), nu_mode="half"),
     RegistryEntry("lin-squared", "squared reverse AM-GM with constant K(h)^2",
-                  COMMON, _reverse_am, C._c_lin_squared, _p_is(2.0), nu_mode="half", p_grid=(2.0,),
+                  COMMON, _reverse_am, C._c_lin_power, _p_is(2.0), nu_mode="half", p_grid=(2.0,),
                   both_forms=True),
     RegistryEntry("lin-power", "reverse AM-GM at powers 0 < p <= 2 with constant K(h)^p",
                   COMMON, _reverse_am, C._c_lin_power, _p_up_to(2.0), nu_mode="half", p_grid=(0.5, 2.0),
@@ -270,7 +269,7 @@ _TABLE: dict[str, RegistryEntry] = {row.ineq_id: row for row in (
     RegistryEntry("lemma2.3", "scalar refinement transferred to inverses: 2r(AM-GM defect) + K^{r1}(sqrt(h')) (A^{-1} #_nu B^{-1}) <= A^{-1} nabla_nu B^{-1}",
                   SANDWICH, _lemma23, uses_phi=False),
     RegistryEntry("thm2.4", "squared bracket reverse inequality with constant (K(h)/K^{r1}(sqrt(h')))^2",
-                  SANDWICH, _reverse_bracket, C._c_thm24, _p_is(2.0), p_grid=(2.0,), both_forms=True),
+                  SANDWICH, _reverse_bracket, C._c_cor26, _p_is(2.0), p_grid=(2.0,), both_forms=True),
     RegistryEntry("cor2.6", "bracket reverse inequality at 0 < p <= 2 with constant (K(h)/K^{r1}(sqrt(h')))^p",
                   SANDWICH, _reverse_bracket, C._c_cor26, _p_up_to(2.0), p_grid=(0.5, 2.0), both_forms=True),
     RegistryEntry("thm2.7", "bracket reverse inequality at p >= 2 with constant (K(h)/(4^{2/p-1} K^{r1}(sqrt(h'))))^p",
@@ -304,9 +303,9 @@ _TABLE: dict[str, RegistryEntry] = {row.ineq_id: row for row in (
     RegistryEntry("seo", "weighted reverse of the map domination with constant K(m, M, nu)^{-1}",
                   REVERSE, _reverse_domination, C._c_seo),
     RegistryEntry("thm3.3", "mean comparison A nabla_nu B >= K^r(h) (A #_nu B) with the outer ratio, as printed",
-                  SANDWICH, _mean_comparison, C._c_thm33, uses_phi=False, asserted=False),
+                  SANDWICH, _amgm, C._c_thm33, constant_left=True, uses_phi=False, asserted=False),
     RegistryEntry("thm3.3-hprime", "mean comparison A nabla_nu B >= K^r(h') (A #_nu B) with the inner ratio",
-                  SANDWICH, _mean_comparison, C._c_thm33_hprime, uses_phi=False),
+                  SANDWICH, _amgm, C._c_thm33_hprime, constant_left=True, uses_phi=False),
     RegistryEntry("thm3.4", "claimed sharpening of the weighted reverse by the extra factor K(h)^{-r}",
                   REVERSE, _reverse_domination, C._c_thm34, _separated, separated=True),
 )}
@@ -381,7 +380,8 @@ def _constant(
 
 
 def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> float:
-    """Scalar multiplier the inequality places in front of its right side.
+    """Scalar multiplier the inequality places in front of one side (the
+    right side unless the entry sets constant_left).
 
     Accepts registry ids and the bare base names of two-form entries, on the
     entry's own bounds kinds or in comparison mode (see require_hypothesis).
@@ -433,9 +433,9 @@ def check_case(
     allowance CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with
     CERT_ROUNDING = 16 and n the dimension.
 
-    constant_scale multiplies the assembled right-hand side; it exists so
-    the suite can deliberately break an inequality and prove the checker
-    notices (mutation sensitivity).
+    constant_scale is a factor applied to the row's constant, on whichever
+    side the constant sits; it exists so the suite can deliberately break an
+    inequality and prove the checker notices (mutation sensitivity).
     """
     entry = get_entry(case.ineq_id)
     inst = case.instance
@@ -443,7 +443,9 @@ def check_case(
     prm = case.params
     nu = prm.nu if entry.nu_mode == "grid" else 0.5
     resolved = CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)
-    c = _constant(entry, bounds, resolved)
+    c = _constant(entry, bounds, resolved) * constant_scale
+    if entry.uses_phi and case.phi is None:
+        raise HypothesisNotMet(f"{entry.ineq_id} needs a positive linear map, got none")
     if case.phi is not None and case.phi.n != inst.n:
         raise HypothesisNotMet(
             f"map dimension {case.phi.n} does not match instance dimension {inst.n}"
@@ -452,19 +454,18 @@ def check_case(
     # an overflowing side is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         kind, lhs, rhs = entry.sides(
-            Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, c, entry.outside)
+            Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, entry.outside)
         )
+        lhs, rhs = (c * lhs, rhs) if entry.constant_left else (lhs, c * rhs)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise ConfigInvalid(
             f"{entry.ineq_id}: a side overflows at p = {prm.p:g}, bounds {bounds.to_dict()}"
         )
     if kind == "norm":
         lhs_norm = float(lhs)
-        rhs_norm = float(rhs) * constant_scale
+        rhs_norm = float(rhs)
         gap = rhs_norm - lhs_norm
     else:
-        if constant_scale != 1.0:
-            rhs = rhs * constant_scale
         D = hermitize(rhs - lhs)
         w, V = eigh(D)
         gap = float(w[0])

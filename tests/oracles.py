@@ -1,8 +1,9 @@
 """Independent scalar oracles used to cross-check closed forms.
 
 Kept deliberately dumb: a golden-section minimizer and the secant-ratio
-objective, with no shared code paths into the package under test; and the
-sampler's reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
+objective, and the constants of the paper's displays transcribed afresh,
+with no shared code paths into the package under test; and the sampler's
+reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
 which share only the generator's scalar `next_float` stream with it.
 """
 
@@ -47,6 +48,23 @@ def secant_ratio_min(m, M, nu):
     _, val = golden_section_min(ratio, m, M)
     # guard against a flat or endpoint-minimal objective
     return min(val, ratio(m), ratio(M))
+
+
+def kantorovich_of(t):
+    """K(t) = (1 + t)^2 / (4 t)."""
+    return (1.0 + t) ** 2 / (4.0 * t)
+
+
+def abstract_constant(m, mp, Mp, M, nu, p):
+    """The constant of the abstract's display,
+    (K(h) / (4^{2/p - 1} K^{r1}(sqrt(h'))))^p, with h = M/m, h' = M'/m',
+    r = min{nu, 1 - nu} and r1 = min{2r, 1 - 2r}."""
+    r = min(nu, 1.0 - nu)
+    r1 = min(2.0 * r, 1.0 - 2.0 * r)
+    h = M / m
+    h_inner = Mp / mp
+    divisor = 4.0 ** (2.0 / p - 1.0) * kantorovich_of(math.sqrt(h_inner)) ** r1
+    return (kantorovich_of(h) / divisor) ** p
 
 
 def gauss_pair(rng):

@@ -26,6 +26,7 @@ from opineq.errors import (
 
 from opineq.verifier import bound_constant
 
+from . import oracles
 from .oracles import secant_ratio_min
 
 
@@ -213,3 +214,43 @@ def test_bound_constant_comparison_mode():
     v = bound_constant("thm2.4", common14, CaseParams(nu=0.25, p=2.0))
     expected = (kantorovich(4.0) / kantorovich(2.0) ** 0.5) ** 2
     assert v == pytest.approx(expected, rel=1e-13)
+
+
+NU_GRID_11 = tuple(i / 10.0 for i in range(11))
+
+
+@pytest.mark.parametrize("orientation", ["sandwich_B_low", "sandwich_A_low"])
+def test_abstract_constant_matches_oracle(orientation):
+    """Both thm2.7 forms carry the abstract's constant
+    (K(h) / (4^{2/p-1} K^{r1}(sqrt(h'))))^p, transcribed independently."""
+    for m, mp, Mp, M in ((0.5, 1.2, 3.0, 9.0), (1.0, 1.0, 1.5, 2.0)):
+        bounds = SandwichBounds(orientation, m=m, mp=mp, Mp=Mp, M=M)
+        for nu in NU_GRID_11:
+            for p in (2.0, 2.5, 3.5, 8.0):
+                want = oracles.abstract_constant(m, mp, Mp, M, nu, p)
+                for ineq_id in ("thm2.7-phi-inside", "thm2.7-phi-outside"):
+                    got = bound_constant(ineq_id, bounds, CaseParams(nu=nu, p=p))
+                    assert got == pytest.approx(want, rel=1e-14), (ineq_id, nu, p)
+
+
+def test_shared_constant_formulas_match_oracle():
+    """Rows that share one constant formula still carry their own displays:
+    lin is K(h) at p = 1, lin-squared K(h)^2, thm2.4 (K(h)/K^{r1}(sqrt(h')))^2
+    and thm3.4 the seo constant times K(h)^{-r} with h = (m2/M1)^2."""
+    K = oracles.kantorovich_of
+    common = SandwichBounds.common(0.5, 3.0)
+    sandwich = SandwichBounds.sandwich_A_low(0.5, 1.2, 3.0, 9.0)
+    reverse = SandwichBounds.reverse_ando(1.0, 1.2, 2.0, 2.5)
+    for nu in NU_GRID_11:
+        r = min(nu, 1.0 - nu)
+        r1 = min(2.0 * r, 1.0 - 2.0 * r)
+        at_1 = CaseParams(nu=nu, p=1.0)
+        at_2 = CaseParams(nu=nu, p=2.0)
+        assert bound_constant("lin", common, at_1) == pytest.approx(K(6.0), rel=1e-14)
+        for form in ("lin-squared-phi-inside", "lin-squared-phi-outside"):
+            assert bound_constant(form, common, at_2) == pytest.approx(K(6.0) ** 2, rel=1e-14)
+        thm24 = (K(18.0) / K(math.sqrt(2.5)) ** r1) ** 2
+        for form in ("thm2.4-phi-inside", "thm2.4-phi-outside"):
+            assert bound_constant(form, sandwich, at_2) == pytest.approx(thm24, rel=1e-14)
+        thm34 = bound_constant("seo", reverse, at_1) * K((2.0 / 1.2) ** 2) ** (-r)
+        assert bound_constant("thm3.4", reverse, at_1) == pytest.approx(thm34, rel=1e-14)

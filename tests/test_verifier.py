@@ -166,6 +166,24 @@ def test_mutation_hook_flips_verdict():
     v = check_case(case, constant_scale=0.5)  # RHS 2.5 < LHS 2
     assert not v.holds
     assert v.gap < 0
+    # the scale multiplies the row's constant, which thm3.3 places on the left:
+    # K^{1/2}(3/2) sqrt(6) ~ 2.4999 against 2.5
+    mean_case = make_case("thm3.3-hprime", 3.0 * I2, 2.0 * I2,
+                          SandwichBounds.sandwich_B_low(1.0, 2.0, 3.0, 4.0), nu=0.5)
+    assert check_case(mean_case).holds
+    assert check_case(mean_case, constant_scale=0.5).holds
+    v = check_case(mean_case, constant_scale=2.0)
+    assert not v.holds
+    assert v.gap < 0
+
+
+@pytest.mark.parametrize("ineq_id", ["lin", "choi", "ando"])
+def test_map_entry_without_a_map_is_a_hypothesis_error(ineq_id):
+    """A map-using entry given no map (as a replay payload with "map": null
+    builds) is refused by name, not crashed on."""
+    case = make_case(ineq_id, 2.0 * I2, I2, SandwichBounds.common(1.0, 4.0), phi=None)
+    with pytest.raises(HypothesisNotMet, match=f"{ineq_id} needs a positive linear map"):
+        check_case(case)
 
 
 def test_refuted_reverse_refinement_counterexample():
