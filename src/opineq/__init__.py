@@ -32,6 +32,7 @@ from .verifier import (
     InequalityCase,
     Verdict,
     bound_constant,
+    check_block,
     check_case,
     compare_constants,
     get_entry,
@@ -76,6 +77,7 @@ __all__ = [
     "REGISTRY",
     "InequalityCase",
     "Verdict",
+    "check_block",
     "check_case",
     "compare_constants",
     "get_entry",

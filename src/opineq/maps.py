@@ -11,13 +11,13 @@ the identity to the identity of the output dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedSpec, UnknownKind
 from .linalg import as_matrix, eigh, identity, op_norm
-from .sampler import SplitMix64, derive_seed, haar_unitary, sample_constrained
+from .sampler import SplitMix64, derive_seed, haar_stack, sample_constrained
 
 MAP_KINDS = (
     "identity",
@@ -134,6 +134,15 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
     raise UnknownKind(f"unknown map kind {phi.kind!r}")
 
 
+def apply_maps(phis, X) -> np.ndarray:
+    """Each matrix of the stack X under its own map, re-stacked; the maps
+    must share one output dimension.  A single matrix takes the one map."""
+    if X.ndim == 2:
+        (phi,) = phis
+        return apply_map(phi, X)
+    return np.stack([apply_map(phi, M) for phi, M in zip(phis, X)])
+
+
 @dataclass(frozen=True)
 class MapValidation:
     unitality_residual: float
@@ -169,32 +178,60 @@ def validate_map(phi: MapSpec, trials: int = 20, seed: int = 0) -> MapValidation
 
 def random_map(n: int, kind: str, seed: int) -> MapSpec:
     """Deterministic map spec for (n, kind, seed); passes validate_map."""
-    if kind not in MAP_KINDS:
-        raise UnknownKind(f"unknown map kind {kind!r}")
+    return random_maps(n, (kind,), (seed,))[0]
+
+
+def random_maps(n: int, kinds, seeds) -> list[MapSpec]:
+    """random_map(n, kinds[i], seeds[i]) for each i, with every Haar frame
+    of every map drawn as one stack (sampler.haar_stack).
+
+    Each map's stream derive_seed(seed, "map", kind, n) gives, in order, the
+    compression rank (n >= 2) or the mixture's count and raw weights, or the
+    pinching's cut bits; its frames follow, 2n^2 outputs each.
+    """
+    for kind in kinds:
+        if kind not in MAP_KINDS:
+            raise UnknownKind(f"unknown map kind {kind!r}")
     if n < 1:
         raise DimensionMismatch(f"need n >= 1, got {n}")
-    rng = SplitMix64(derive_seed(seed, "map", kind, n))
-    if kind in ("identity", "trace_average", "diagonal"):
-        return MapSpec(kind, n)
-    if kind == "compression":
-        k = rng.randint(1, n - 1) if n >= 2 else 1
-        return MapSpec(kind, n, haar_unitary(n, rng)[:, :k].copy())
-    if kind == "pinching":
-        blocks: list[tuple[int, ...]] = []
-        current = [0]
-        for i in range(1, n):
-            if rng.next_u64() & 1:
-                blocks.append(tuple(current))
-                current = [i]
-            else:
-                current.append(i)
-        blocks.append(tuple(current))
-        return MapSpec(kind, n, tuple(blocks))
-    # unitary_mixture
-    count = rng.randint(2, 3)
-    raw = [rng.uniform(0.2, 1.0) for _ in range(count)]
-    total = sum(raw)
-    weights = [w / total for w in raw]
-    # nudge the last weight so the sum is exactly 1 in floating point
-    weights[-1] = 1.0 - sum(weights[:-1])
-    return MapSpec(kind, n, tuple((w, haar_unitary(n, rng)) for w in weights))
+    plans = []    # (kind, payload so far, frame indices into the stack)
+    states = []   # SplitMix64 state at the start of each frame
+    for kind, seed in zip(kinds, seeds):
+        rng = SplitMix64(derive_seed(seed, "map", kind, n))
+        if kind in ("identity", "trace_average", "diagonal"):
+            plans.append((kind, None, ()))
+        elif kind == "compression":
+            k = rng.randint(1, n - 1) if n >= 2 else 1
+            plans.append((kind, k, (len(states),)))
+            states.append(rng.state)
+        elif kind == "pinching":
+            blocks: list[tuple[int, ...]] = []
+            current = [0]
+            for i in range(1, n):
+                if rng.next_u64() & 1:
+                    blocks.append(tuple(current))
+                    current = [i]
+                else:
+                    current.append(i)
+            blocks.append(tuple(current))
+            plans.append((kind, tuple(blocks), ()))
+        else:  # unitary_mixture
+            count = rng.randint(2, 3)
+            raw = [rng.uniform(0.2, 1.0) for _ in range(count)]
+            total = sum(raw)
+            weights = [w / total for w in raw]
+            # nudge the last weight so the sum is exactly 1 in floating point
+            weights[-1] = 1.0 - sum(weights[:-1])
+            plans.append((kind, weights, tuple(range(len(states), len(states) + count))))
+            for _ in range(count):
+                states.append(rng.state)
+                rng.skip(2 * n * n)
+    Q = haar_stack(n, states) if states else None
+    specs = []
+    for kind, payload, frames in plans:
+        if kind == "compression":
+            payload = Q[frames[0]][:, :payload].copy()
+        elif kind == "unitary_mixture":
+            payload = tuple((w, Q[f]) for w, f in zip(payload, frames))
+        specs.append(MapSpec(kind, n, payload))
+    return specs

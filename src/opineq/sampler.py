@@ -69,8 +69,12 @@ class SplitMix64:
     def next_block(self, count: int) -> np.ndarray:
         """`count` calls of next_u64 at once."""
         z = _mix_rows(self.state, count)
-        self.state = (self.state + count * _GOLDEN) & _MASK
+        self.skip(count)
         return z
+
+    def skip(self, count: int) -> None:
+        """Leave the state of `count` next_u64 calls without making them."""
+        self.state = (self.state + count * _GOLDEN) & _MASK
 
     def next_float(self) -> float:
         """Uniform double in [0, 1)."""
@@ -143,6 +147,14 @@ def haar_unitary(n: int, rng: SplitMix64) -> np.ndarray:
     return _haar(rng.gauss(2 * n * n), n)
 
 
+def haar_stack(n: int, states) -> np.ndarray:
+    """Stack of haar_unitary(n, rng) for SplitMix64 generators at the given
+    states, each slice bit-identical to its single draw; all frames share one
+    finalizer pass and one batched QR."""
+    z = _mix_rows(np.array([[s] for s in states], dtype=np.uint64), 2 * n * n)
+    return _haar(_box_muller(z), n)
+
+
 def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.ndarray:
     """Stack of sample_constrained(n, lo[i], hi[i], seeds[i], force_endpoints),
     each slice bit-identical to its single draw.  Each live row takes n
@@ -195,15 +207,27 @@ def verify_instance(inst: Instance, slack: float = CONTAINMENT_SLACK) -> float:
     Raises if the violation exceeds `slack`; the verifier refuses to check
     unverified instances.
     """
-    worst = 0.0
-    for X, (lo, hi) in ((inst.A, inst.bounds.a_interval()), (inst.B, inst.bounds.b_interval())):
-        w, _ = eigh(X)
-        worst = max(worst, lo - float(w[0]), float(w[-1]) - hi)
-    if worst > slack:
-        raise OpineqError(
-            f"instance spectrum escaped its hypothesis interval by {worst:.3e}"
-        )
-    return max(worst, 0.0)
+    wA, _ = eigh(inst.A)
+    wB, _ = eigh(inst.B)
+    return float(verify_instances([inst], wA[None], wB[None], slack)[0])
+
+
+def verify_instances(instances, wA: np.ndarray, wB: np.ndarray,
+                     slack: float = CONTAINMENT_SLACK) -> np.ndarray:
+    """verify_instance over a stack: wA and wB hold the ascending eigenvalues
+    of the instances' A and B, one row per instance.  Returns the worst
+    violation per instance; raises for the first instance past `slack`."""
+    worst = []
+    for inst, a_min, a_max, b_min, b_max in zip(
+        instances, wA[:, 0].tolist(), wA[:, -1].tolist(), wB[:, 0].tolist(), wB[:, -1].tolist()
+    ):
+        (a_lo, a_hi), (b_lo, b_hi) = inst.bounds.a_interval(), inst.bounds.b_interval()
+        worst.append(max(0.0, a_lo - a_min, a_max - a_hi, b_lo - b_min, b_max - b_hi))
+        if worst[-1] > slack:
+            raise OpineqError(
+                f"instance spectrum escaped its hypothesis interval by {worst[-1]:.3e}"
+            )
+    return np.array(worst)
 
 
 def sample_instance(

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .constants import CaseParams, SandwichBounds
-from .errors import ConfigInvalid, HypothesisNotMet
+from .errors import ConfigInvalid, HypothesisNotMet, OpineqError
 from .io import dumps_canonical, instance_to_obj, map_to_obj
-from .maps import MAP_KINDS, random_map
+from .maps import MAP_KINDS, random_map, random_maps
 from .sampler import Instance, SplitMix64, build_from_spectrum, derive_seed, stack_instances
 from .verifier import (
     ALPHA_GRID,
@@ -34,11 +34,13 @@ from .verifier import (
     NU_GRID,
     InequalityCase,
     RegistryEntry,
+    check_block,
     check_case,
     get_entry,
     registry_ids,
     require_hypothesis,
     scalar_lemma_gap,
+    stack_rows,
 )
 
 DEFAULT_DIMS = (2, 3, 5)
@@ -176,8 +178,9 @@ def _case_params(cfg: SuiteConfig, entry: RegistryEntry, trial: int) -> CasePara
 
 
 def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[InequalityCase]:
-    """The block's cases in trial order, their instances drawn as one stack.
-    They are not verified here: check_case verifies each before checking it."""
+    """The block's cases in trial order, their instances and their maps'
+    frames each drawn as one stack.  They are not verified here: check_block
+    verifies each before checking it."""
     seeds = [derive_seed(cfg.seed, entry.ineq_id, n, t) for t in range(cfg.trials)]
     bounds = [
         cfg.fixed_bounds if cfg.fixed_bounds is not None else _draw_bounds(
@@ -187,24 +190,53 @@ def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[Inequal
     instances = stack_instances(
         bounds, n, [derive_seed(s, "instance") for s in seeds], cfg.force_endpoints
     )
+    phis = random_maps(
+        n, [MAP_KINDS[t % len(MAP_KINDS)] for t in range(cfg.trials)],
+        [derive_seed(s, "map") for s in seeds],
+    ) if entry.uses_phi else [None] * cfg.trials
     return [
-        InequalityCase(
-            ineq_id=entry.ineq_id,
-            instance=instance,
-            phi=random_map(n, MAP_KINDS[t % len(MAP_KINDS)], derive_seed(s, "map"))
-            if entry.uses_phi else None,
-            params=_case_params(cfg, entry, t),
-        )
-        for t, (s, instance) in enumerate(zip(seeds, instances))
+        InequalityCase(ineq_id=entry.ineq_id, instance=instance, phi=phi,
+                       params=_case_params(cfg, entry, t))
+        for t, (instance, phi) in enumerate(zip(instances, phis))
     ]
 
 
-def _run_block(cfg: SuiteConfig, ineq_id: str, n: int) -> list[dict]:
-    entry = get_entry(ineq_id)
-    scale = cfg.mutate.get(ineq_id, 1.0)
+def _groups(cfg: SuiteConfig) -> list[tuple[tuple[str, int], ...]]:
+    """The (id, n) blocks grouped by the code that computes their sides: the
+    entry's sides function and form, and n.  Each group is checked as stacks
+    and is one task under --workers."""
+    groups: dict = {}
+    for ineq_id in cfg.resolved_ids():
+        entry = get_entry(ineq_id)
+        for n in cfg.dims:
+            groups.setdefault((entry.sides, entry.outside, n), []).append((ineq_id, n))
+    return [tuple(blocks) for blocks in groups.values()]
+
+
+def _run_group(cfg: SuiteConfig, blocks: tuple[tuple[str, int], ...]) -> list[dict]:
+    """Report rows of a group's blocks.  Blocks are drawn one at a time and
+    checked once about a stack's worth of cases is pending, so a group holds
+    at most one stack plus one block of instances."""
+    out, pending = [], []
+    for ineq_id, n in blocks:
+        cases = _block_cases(cfg, get_entry(ineq_id), n)
+        pending += [(ineq_id, n, trial, case) for trial, case in enumerate(cases)]
+        if len(pending) >= stack_rows(n):
+            out += _check_pending(cfg, pending)
+            pending = []
+    return out + _check_pending(cfg, pending)
+
+
+def _check_pending(cfg: SuiteConfig, pending: list) -> list[dict]:
+    cases = [case for _, _, _, case in pending]
+    scales = [cfg.mutate.get(ineq_id, 1.0) for ineq_id, _, _, _ in pending]
+    try:
+        verdicts = check_block(cases, cfg.tol, scales)
+    except OpineqError:
+        _raise_first_failure(cfg, pending)
+        raise
     out = []
-    for trial, case in enumerate(_block_cases(cfg, entry, n)):
-        verdict = check_case(case, tol=cfg.tol, constant_scale=scale)
+    for (ineq_id, n, trial, case), verdict in zip(pending, verdicts):
         row = {
             "id": ineq_id,
             "seed": case.instance.seed,
@@ -224,8 +256,19 @@ def _run_block(cfg: SuiteConfig, ineq_id: str, n: int) -> list[dict]:
     return out
 
 
-def _run_block_star(args) -> list[dict]:
-    return _run_block(*args)
+def _raise_first_failure(cfg: SuiteConfig, pending: list) -> None:
+    """Re-check the cases one at a time and raise the first one's error, of
+    its own class, naming its id, n and trial."""
+    for ineq_id, n, trial, case in pending:
+        try:
+            check_case(case, cfg.tol, cfg.mutate.get(ineq_id, 1.0))
+        except OpineqError as exc:
+            message = str(exc).removeprefix(f"{ineq_id}: ")
+            raise type(exc)(f"{ineq_id}, n = {n}, trial {trial}: {message}") from exc
+
+
+def _run_group_star(args) -> list[dict]:
+    return _run_group(*args)
 
 
 @dataclass(frozen=True)
@@ -271,14 +314,13 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Execute the configured suite and aggregate a deterministic report."""
     cfg.validate()
     ids = cfg.resolved_ids()
-    blocks = [(cfg, ineq_id, n) for ineq_id in ids for n in cfg.dims]
-    if cfg.workers > 1 and len(blocks) > 1:
+    groups = _groups(cfg)
+    if cfg.workers > 1 and len(groups) > 1:
         serial_cfg = replace(cfg, workers=1)
-        tasks = [(serial_cfg, ineq_id, n) for _, ineq_id, n in blocks]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_block_star, tasks, chunksize=1))
+            results = list(pool.map(_run_group_star, [(serial_cfg, g) for g in groups], chunksize=1))
     else:
-        results = [_run_block_star(task) for task in blocks]
+        results = [_run_group(cfg, g) for g in groups]
     cases = [row for block in results for row in block]
     cases.sort(key=lambda row: (row["id"], row["n"], row["trial"]))
     for row in cases:

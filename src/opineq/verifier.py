@@ -4,9 +4,9 @@ Every displayed inequality is one row of ``_TABLE``, keyed by its base name.
 A row holds the whole statement: the bounds kinds its spectral hypothesis
 accepts, its parameter domain, its constant (a scalar formula from
 ``constants``), and a ``sides`` function that builds both sides of the
-inequality without the constant; ``check_case`` multiplies the constant onto
-the side the row names.  It also says how the suite exercises the entry.  Adding an
-inequality means adding one row.
+inequality without the constant; ``check_block`` multiplies the constant
+onto the side the row names.  It also says how the suite exercises the
+entry.  Adding an inequality means adding one row.
 
 Where a theorem states two conclusions — the map of the mean versus the
 mean of the map images — its row has ``both_forms`` set and becomes two
@@ -48,29 +48,34 @@ from .errors import (
     ConfigInvalid,
     DegenerateInterval,
 )
-from .linalg import eigh, hermitize, matrix_power, op_norm, spectral_norm
-from .maps import MapSpec, apply_map
-from .means import arithmetic_mean, bracket_term, geometric_mean
-from .sampler import Instance, verify_instance
+from .linalg import SpectralDecomposition, eigh, hermitize, matrix_power, op_norm, spectral_norm
+from .maps import MapSpec, apply_maps
+from .means import _per_matrix, arithmetic_mean, bracket_term, geometric_mean
+from .sampler import Instance, verify_instances
 
 DEFAULT_TOL = 1e-9
 CERT_ROUNDING = 16.0  # multiple of n * eps * (||lhs|| + ||rhs||) a certified violation must clear
+STACK_BYTES = 1 << 19  # bytes of one (T, n, n) operand stack; check_block splits larger groups
 
 NU_GRID = tuple(i / 10.0 for i in range(11))
 ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 
 
 class Operands(NamedTuple):
-    """What a row's `sides` function reads: the pair, the map, the bounds,
-    the resolved exponents, and the displayed form."""
+    """What a row's `sides` function reads, for a stack of T cases: the
+    pairs (T, n, n) with their spectra, the maps and bounds (lists of T),
+    the resolved exponents (arrays of T), and the displayed form.  One case
+    has plain matrices and Python floats."""
 
     A: np.ndarray
     B: np.ndarray
-    phi: Optional[MapSpec]
-    bounds: SandwichBounds
-    nu: float
-    p: float
-    alpha: float
+    sA: SpectralDecomposition
+    sB: SpectralDecomposition
+    phi: list
+    bounds: list
+    nu: np.ndarray
+    p: np.ndarray
+    alpha: np.ndarray
     outside: bool
 
 
@@ -81,8 +86,9 @@ class RegistryEntry:
 
     kinds: the bounds kinds the spectral hypothesis accepts.
     sides: Operands -> ("loewner", lhs, rhs), checked as lhs <= c * rhs, or
-    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= c * rhs_norm; the
-    sides never carry the constant c.
+    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= c * rhs_norm, with
+    one matrix or norm per case of the stack; the sides never carry the
+    constant c.
     constant: (bounds, params) -> the scalar c the statement places in
     front of one side.
     domain: (bounds, params) -> None, or the clause of the hypothesis the
@@ -155,71 +161,108 @@ def _separated(bounds, prm):
 
 
 # --- sides ------------------------------------------------------------------
+# Each takes the Operands of one case (matrices, Python floats) or of a
+# stack (T, n, n) with arrays of T values, and returns its two sides in the
+# same shape.  Scalar arithmetic runs per case in Python floats, as it
+# would alone.
+
+def _per_case(x, values):
+    """Per-case Python floats as a parameter: a float for one case, an
+    array for a stack."""
+    values = list(values)
+    return values[0] if x.A.ndim == 2 else np.array(values)
+
+
+def _squares(x, norms):
+    return _per_case(x, (float(v) ** 2 for v in np.atleast_1d(norms)))
+
+
+def _phi(x, X):
+    return apply_maps(x.phi, X)
+
 
 def _amgm(x):
-    return "loewner", geometric_mean(x.A, x.B, x.nu), arithmetic_mean(x.A, x.B, x.nu)
+    return "loewner", geometric_mean(x.A, x.B, x.nu, x.sA), arithmetic_mean(x.A, x.B, x.nu)
 
 
 def _power_monotone(x):
-    lo_op, hi_op = (x.B, x.A) if x.bounds.kind == "sandwich_B_low" else (x.A, x.B)
-    return "loewner", matrix_power(lo_op, x.p), matrix_power(hi_op, x.p)
+    swap = [b.kind == "sandwich_B_low" for b in x.bounds]
+    lo, lo_s = _pick(swap, (x.B, x.sB), (x.A, x.sA))
+    hi, hi_s = _pick(swap, (x.A, x.sA), (x.B, x.sB))
+    return "loewner", matrix_power(lo, x.p, lo_s), matrix_power(hi, x.p, hi_s)
+
+
+def _pick(mask, yes, no):
+    """(matrix, spectrum) from `yes` where the case's mask is set, else from `no`."""
+    if yes[0].ndim == 2:
+        return yes if mask[0] else no
+    m = np.array(mask)
+    return np.where(m[:, None, None], yes[0], no[0]), SpectralDecomposition(
+        np.where(m[:, None], yes[1][0], no[1][0]), np.where(m[:, None, None], yes[1][1], no[1][1]))
 
 
 def _choi(x):
-    pa = apply_map(x.phi, x.A)
-    return "loewner", matrix_power(pa, -1.0), apply_map(x.phi, matrix_power(x.A, -1.0))
+    pa = _phi(x, x.A)
+    return "loewner", matrix_power(pa, -1.0), _phi(x, matrix_power(x.A, -1.0, x.sA))
 
 
 def _lemma22_i(x):
-    return "norm", spectral_norm(x.A @ x.B), 0.25 * op_norm(x.A + x.B) ** 2
+    return "norm", spectral_norm(x.A @ x.B), 0.25 * _squares(x, op_norm(x.A + x.B))
 
 
 def _lemma22_ii(x):
     a = x.alpha
-    lhs = op_norm(matrix_power(x.A, a) + matrix_power(x.B, a))
+    lhs = op_norm(matrix_power(x.A, a, x.sA) + matrix_power(x.B, a, x.sB))
     return "norm", lhs, op_norm(matrix_power(x.A + x.B, a))
 
 
 def _lemma22_iii(x):
-    t = spectral_norm(matrix_power(x.A, 0.5) @ matrix_power(x.B, -0.5)) ** 2
-    return "loewner", x.A, t * x.B
+    t = _squares(x, spectral_norm(matrix_power(x.A, 0.5, x.sA) @ matrix_power(x.B, -0.5, x.sB)))
+    return "loewner", x.A, _per_matrix(t) * x.B
 
 
 def _lemma23(x):
-    r, r1 = weights(x.nu)
-    Ai = matrix_power(x.A, -1.0)
-    Bi = matrix_power(x.B, -1.0)
-    defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5)
-    scaled = kantorovich(math.sqrt(x.bounds.hp)) ** r1 * geometric_mean(Ai, Bi, x.nu)
-    lhs = 2.0 * r * defect + scaled
+    r, r1 = zip(*(weights(nu) for nu in np.atleast_1d(x.nu).tolist()))
+    Ai = matrix_power(x.A, -1.0, x.sA)
+    Bi = matrix_power(x.B, -1.0, x.sB)
+    Si = eigh(Ai)
+    defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5, Si)
+    k = _per_case(x, (kantorovich(math.sqrt(b.hp)) ** e for b, e in zip(x.bounds, r1)))
+    scaled = _per_matrix(k) * geometric_mean(Ai, Bi, x.nu, Si)
+    lhs = _per_matrix(_per_case(x, (2.0 * v for v in r))) * defect + scaled
     return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
 def _map_domination(x):
-    lhs = apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
-    rhs = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
+    lhs = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+    rhs = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
     return "loewner", lhs, rhs
 
 
 def _reverse_domination(x):
-    lhs = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
-    return "loewner", lhs, apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
+    lhs = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
+    return "loewner", lhs, _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+
+
+def _outer(x):
+    m, M = zip(*(b.outer() for b in x.bounds))
+    return _per_case(x, m), _per_case(x, M)
 
 
 def _norm_refinement(x):
-    m, M = x.bounds.outer()
-    plain = matrix_power(apply_map(x.phi, arithmetic_mean(x.A, x.B, x.nu)), x.p)
-    fat = matrix_power(apply_map(x.phi, bracket_term(x.A, x.B, m, M, x.nu)), x.p)
+    m, M = _outer(x)
+    plain = matrix_power(_phi(x, arithmetic_mean(x.A, x.B, x.nu)), x.p)
+    fat = matrix_power(_phi(x, bracket_term(x.A, x.B, m, M, x.nu, (x.sA, x.sB))), x.p)
     return "norm", op_norm(plain), op_norm(fat)
 
 
 def _reverse_power(x, left):
     """Phi^p(left) against (mean block)^p, the mean block taken in the entry's form."""
     if x.outside:
-        mean = geometric_mean(apply_map(x.phi, x.A), apply_map(x.phi, x.B), x.nu)
+        mean = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
     else:
-        mean = apply_map(x.phi, geometric_mean(x.A, x.B, x.nu))
-    return "loewner", matrix_power(apply_map(x.phi, left), x.p), matrix_power(mean, x.p)
+        mean = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+    return "loewner", matrix_power(_phi(x, left), x.p), matrix_power(mean, x.p)
 
 
 def _reverse_am(x):
@@ -227,8 +270,8 @@ def _reverse_am(x):
 
 
 def _reverse_bracket(x):
-    m, M = x.bounds.outer()
-    return _reverse_power(x, bracket_term(x.A, x.B, m, M, x.nu))
+    m, M = _outer(x)
+    return _reverse_power(x, bracket_term(x.A, x.B, m, M, x.nu, (x.sA, x.sB)))
 
 
 # --- the table --------------------------------------------------------------
@@ -422,10 +465,50 @@ def check_case(
     tol: float = DEFAULT_TOL,
     constant_scale: float = 1.0,
 ) -> Verdict:
-    """Evaluate one inequality on one instance.
+    """Evaluate one inequality on one instance: check_block's path for a
+    stack of one case, run on the plain matrices (see check_block)."""
+    return _check_stack([_admit(case, constant_scale)], tol)[0]
 
-    A failing verdict carries a certificate that does not trust the
-    eigensolver.  For a Loewner entry, x is the computed lambda_min
+
+def stack_rows(n: int) -> int:
+    """Cases of dimension n that one stack holds (see STACK_BYTES)."""
+    return max(1, STACK_BYTES // (16 * n * n))
+
+
+class _Row(NamedTuple):
+    """One case past the per-case gates: its entry, resolved weight and
+    constant."""
+
+    case: InequalityCase
+    entry: RegistryEntry
+    nu: float
+    c: float
+
+
+def check_block(
+    cases,
+    tol: float = DEFAULT_TOL,
+    constant_scales=None,
+) -> list[Verdict]:
+    """Evaluate many cases, one verdict per case in order.
+
+    Cases whose sides are computed by the same code (the same `sides`
+    function and form, the same matrix shape and dtype, and the same map
+    output dimension, since compression rows shrink to k) are evaluated
+    together as (T, n, n) stacks of at most stack_rows(n) cases; a stack of
+    one goes through check_case.  Every verdict is bit-identical to the one
+    the case gets alone: each gate judges each case on its own, exponents
+    are applied per distinct value, and stacked LAPACK and matmul calls
+    return what single calls return.  When several cases fail, the error is
+    the first raised in evaluation order, which need not be the first
+    failing case's: every case's hypothesis and constant are checked before
+    any stack is evaluated.
+
+    A case's hypothesis and constant are checked first, then the containment
+    of its spectra in the hypothesis intervals (one decomposition of A and
+    of B per case serves the containment and every power of A and B), then
+    the sides.  A failing verdict carries a certificate that does not trust
+    the eigensolver.  For a Loewner entry, x is the computed lambda_min
     eigenvector of D = hermitize(rhs - lhs), and the Rayleigh quotient
     x*Dx / x*x, an upper bound on lambda_min(D) for any x, is evaluated
     directly; norm entries take their scalar gap.  `confirmed` is True when
@@ -433,72 +516,139 @@ def check_case(
     allowance CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with
     CERT_ROUNDING = 16 and n the dimension.
 
-    constant_scale is a factor applied to the row's constant, on whichever
-    side the constant sits; it exists so the suite can deliberately break an
-    inequality and prove the checker notices (mutation sensitivity).
+    constant_scales holds a factor per case applied to the row's constant,
+    on whichever side the constant sits; it exists so the suite can
+    deliberately break an inequality and prove the checker notices
+    (mutation sensitivity).
     """
+    cases = list(cases)
+    scales = [1.0] * len(cases) if constant_scales is None else list(constant_scales)
+    groups: dict = {}
+    for i, (case, scale) in enumerate(zip(cases, scales)):
+        row = _admit(case, scale)
+        A, B = case.instance.A, case.instance.B
+        key = (row.entry.sides, row.entry.outside, A.shape, A.dtype, B.shape, B.dtype,
+               None if case.phi is None else case.phi.out_dim)
+        groups.setdefault(key, []).append((i, row))
+    verdicts: list = [None] * len(cases)
+    for (_, _, shape, *_), members in groups.items():
+        size = stack_rows(shape[-1])
+        for lo in range(0, len(members), size):
+            chunk = members[lo:lo + size]
+            if len(chunk) == 1:
+                i, row = chunk[0]
+                verdicts[i] = check_case(row.case, tol, scales[i])
+                continue
+            for (i, _), verdict in zip(chunk, _check_stack([row for _, row in chunk], tol)):
+                verdicts[i] = verdict
+    return verdicts
+
+
+def _admit(case: InequalityCase, scale: float) -> _Row:
+    """The per-case gates: the hypothesis, a finite constant, a map of the
+    instance's dimension where the entry needs one."""
     entry = get_entry(case.ineq_id)
-    inst = case.instance
-    bounds = inst.bounds
     prm = case.params
     nu = prm.nu if entry.nu_mode == "grid" else 0.5
-    resolved = CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)
-    c = _constant(entry, bounds, resolved) * constant_scale
+    c = _constant(entry, case.instance.bounds, CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)) * scale
     if entry.uses_phi and case.phi is None:
         raise HypothesisNotMet(f"{entry.ineq_id} needs a positive linear map, got none")
-    if case.phi is not None and case.phi.n != inst.n:
+    if case.phi is not None and case.phi.n != case.instance.n:
         raise HypothesisNotMet(
-            f"map dimension {case.phi.n} does not match instance dimension {inst.n}"
+            f"map dimension {case.phi.n} does not match instance dimension {case.instance.n}"
         )
-    verify_instance(inst)
+    return _Row(case, entry, nu, c)
+
+
+def _check_stack(rows: list, tol: float) -> list[Verdict]:
+    """Verdicts for rows that share one sides function, form, shape and
+    dtype.  A lone row runs on its plain matrices and Python floats."""
+    sides, outside = rows[0].entry.sides, rows[0].entry.outside
+    insts = [row.case.instance for row in rows]
+    prm = [row.case.params for row in rows]
+    if len(rows) == 1:
+        A, B = insts[0].A, insts[0].B
+        nu, p, alpha = rows[0].nu, prm[0].p, prm[0].alpha
+    else:
+        A, B = np.stack([inst.A for inst in insts]), np.stack([inst.B for inst in insts])
+        nu = np.array([row.nu for row in rows])
+        p, alpha = np.array([q.p for q in prm]), np.array([q.alpha for q in prm])
+    sA, sB = eigh(A), eigh(B)
+    verify_instances(insts, *((w if w.ndim == 2 else w[None]) for w in (sA[0], sB[0])))
+    left = [row.entry.constant_left for row in rows]
+    c = [row.c for row in rows]
     # an overflowing side is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        kind, lhs, rhs = entry.sides(
-            Operands(inst.A, inst.B, case.phi, bounds, nu, prm.p, prm.alpha, entry.outside)
-        )
-        lhs, rhs = (c * lhs, rhs) if entry.constant_left else (lhs, c * rhs)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        kind, lhs, rhs = sides(Operands(
+            A, B, sA, sB, [row.case.phi for row in rows], [inst.bounds for inst in insts],
+            nu, p, alpha, outside,
+        ))
+        lhs = _scaled(lhs, c, left)
+        rhs = _scaled(rhs, c, [not x for x in left])
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        axes = tuple(range(1, np.ndim(lhs)))
+        finite = np.isfinite(lhs).all(axis=axes) & np.isfinite(rhs).all(axis=axes)
+        row = rows[int(np.argmin(finite))]
         raise ConfigInvalid(
-            f"{entry.ineq_id}: a side overflows at p = {prm.p:g}, bounds {bounds.to_dict()}"
+            f"{row.entry.ineq_id}: a side overflows at p = {row.case.params.p:g}, "
+            f"bounds {row.case.instance.bounds.to_dict()}"
         )
     if kind == "norm":
-        lhs_norm = float(lhs)
-        rhs_norm = float(rhs)
+        lhs_norm, rhs_norm = lhs, rhs
         gap = rhs_norm - lhs_norm
     else:
         D = hermitize(rhs - lhs)
         w, V = eigh(D)
-        gap = float(w[0])
+        gap = w[..., 0]
         lhs_norm = op_norm(lhs)
         rhs_norm = op_norm(rhs)
+        D, V = D.reshape((-1,) + D.shape[-2:]), V.reshape((-1,) + V.shape[-2:])
     relative_gap = gap / (1.0 + rhs_norm)
-    holds = bool(relative_gap >= -tol)
-    confirmed = None
-    if not holds:
-        certified = gap
-        if kind == "loewner":
-            x = V[:, 0]
-            certified = float(np.vdot(x, D @ x).real / np.vdot(x, x).real)
-        allowance = CERT_ROUNDING * inst.n * np.finfo(float).eps * (lhs_norm + rhs_norm)
-        confirmed = bool(certified < -tol * (1.0 + rhs_norm) - allowance)
-    echo = {
-        "nu": nu,
-        "p": prm.p,
-        "alpha": prm.alpha,
-        "map": case.phi.describe() if case.phi is not None else "none",
-        "bounds": bounds.to_dict(),
-    }
-    return Verdict(
-        ineq_id=case.ineq_id,
-        lhs_norm=lhs_norm,
-        rhs_norm=rhs_norm,
-        gap=gap,
-        relative_gap=relative_gap,
-        holds=holds,
-        seed=inst.seed,
-        params=echo,
-        confirmed=confirmed,
-    )
+    verdicts = []
+    for i, row, g, rg, ln, rn in zip(
+        range(len(rows)), rows, _values(gap), _values(relative_gap), _values(lhs_norm),
+        _values(rhs_norm),
+    ):
+        inst, phi = row.case.instance, row.case.phi
+        holds = rg >= -tol
+        confirmed = None
+        if not holds:
+            certified = g
+            if kind == "loewner":
+                x = V[i][:, 0]
+                certified = float(np.vdot(x, D[i] @ x).real / np.vdot(x, x).real)
+            allowance = CERT_ROUNDING * inst.n * np.finfo(float).eps * (ln + rn)
+            confirmed = bool(certified < -tol * (1.0 + rn) - allowance)
+        q = row.case.params
+        echo = {
+            "nu": row.nu,
+            "p": q.p,
+            "alpha": q.alpha,
+            "map": phi.describe() if phi is not None else "none",
+            "bounds": inst.bounds.to_dict(),
+        }
+        verdicts.append(Verdict(row.entry.ineq_id, ln, rn, g, rg, holds, inst.seed, echo, confirmed))
+    return verdicts
+
+
+def _values(v) -> list:
+    """Per-case results as Python floats."""
+    return v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)]
+
+
+def _scaled(X, c: list, rows: list):
+    """X with the chosen rows multiplied by their constant c."""
+    if not any(rows):
+        return X
+    if len(rows) == 1:
+        return c[0] * X
+    shape = (-1,) + (1,) * (X.ndim - 1)
+    if all(rows):
+        return np.array(c).reshape(shape) * X
+    rows = np.array(rows)
+    X = X.copy()
+    X[rows] = np.array(c)[rows].reshape(shape) * X[rows]
+    return X
 
 
 def scalar_lemma_gap(x: float, nu: float) -> float:

@@ -10,10 +10,11 @@ from opineq.maps import (
     MapSpec,
     apply_map,
     random_map,
+    random_maps,
     validate_map,
 )
 from opineq.means import geometric_mean
-from opineq.sampler import sample_constrained
+from opineq.sampler import SplitMix64, derive_seed, haar_unitary, sample_constrained
 
 
 def test_trace_average_example():
@@ -122,3 +123,37 @@ def test_unitality_exact_on_identity():
         out = apply_map(phi, np.eye(5))
         k = phi.out_dim
         assert op_norm(out - np.eye(k)) <= 1e-12
+
+
+def _map_drawn_alone(n, kind, seed):
+    """The map of (n, kind, seed) drawn one number at a time: the scalars,
+    then each frame by haar_unitary, from one SplitMix64 stream."""
+    rng = SplitMix64(derive_seed(seed, "map", kind, n))
+    if kind == "compression":
+        k = rng.randint(1, n - 1) if n >= 2 else 1
+        return MapSpec(kind, n, haar_unitary(n, rng)[:, :k].copy())
+    if kind == "unitary_mixture":
+        raw = [rng.uniform(0.2, 1.0) for _ in range(rng.randint(2, 3))]
+        weights = [w / sum(raw) for w in raw]
+        weights[-1] = 1.0 - sum(weights[:-1])
+        return MapSpec(kind, n, tuple((w, haar_unitary(n, rng)) for w in weights))
+    return random_map(n, kind, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_random_maps_stack_is_each_single_draw(n):
+    """A block's maps drawn as one stack are, trial by trial and for every
+    kind, the bits of random_map and of the map drawn one number at a time."""
+    kinds = [MAP_KINDS[t % len(MAP_KINDS)] for t in range(3 * len(MAP_KINDS))]
+    seeds = [derive_seed(11, "block", n, t) for t in range(len(kinds))]
+    for kind, seed, got in zip(kinds, seeds, random_maps(n, kinds, seeds)):
+        for ref in (random_map(n, kind, seed), _map_drawn_alone(n, kind, seed)):
+            assert (got.kind, got.n, got.describe()) == (ref.kind, ref.n, ref.describe())
+            if kind == "compression":
+                np.testing.assert_array_equal(got.payload, ref.payload)
+            elif kind == "unitary_mixture":
+                for (wg, Ug), (wr, Ur) in zip(got.payload, ref.payload):
+                    assert wg == wr
+                    np.testing.assert_array_equal(Ug, Ur)
+            else:
+                assert got.payload == ref.payload

@@ -2,13 +2,15 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opineq import linalg, sampler, verifier
+from opineq import linalg, sampler, suite, verifier
+from opineq.cli import main
 from opineq.constants import SandwichBounds
-from opineq.errors import ConfigInvalid, UnknownInequality
+from opineq.errors import ConfigInvalid, OpineqError, UnknownInequality
 from opineq.sampler import SplitMix64, derive_seed, sample_constrained, sample_instance
 from opineq.suite import (
     Report,
@@ -159,17 +161,63 @@ def test_block_instances_are_sample_instance_and_verified_once(monkeypatch, forc
                     np.testing.assert_array_equal(X, single)
 
     seen = []
-    real = sampler.verify_instance
+    real = sampler.verify_instances
 
-    def counting(inst, *args, **kwargs):
-        seen.append(inst.seed)
-        return real(inst, *args, **kwargs)
+    def counting(instances, *args, **kwargs):
+        seen.extend(inst.seed for inst in instances)
+        return real(instances, *args, **kwargs)
 
-    monkeypatch.setattr(sampler, "verify_instance", counting)
-    monkeypatch.setattr(verifier, "verify_instance", counting)
+    monkeypatch.setattr(sampler, "verify_instances", counting)
+    monkeypatch.setattr(verifier, "verify_instances", counting)
     report = run_suite(cfg)
     assert sorted(seen) == sorted(row["seed"] for row in report.cases)
     assert len(seen) == len(report.cases) == 3 * 2 * 4
+
+
+def _escape_at(monkeypatch, trial):
+    """Make every block's instance at `trial` escape its hypothesis interval."""
+    real = suite.stack_instances
+
+    def escaping(bounds, n, seeds, force_endpoints=False):
+        instances = real(bounds, n, seeds, force_endpoints)
+        instances[trial] = replace(instances[trial], A=10.0 * instances[trial].A)
+        return instances
+
+    monkeypatch.setattr(suite, "stack_instances", escaping)
+
+
+def test_stack_errors_keep_their_class_and_name_the_case(monkeypatch, capsys):
+    """An error inside a stack is raised as the parent's class (exit 2), for
+    the first failing case of the group, named by id, n and trial."""
+    cfg = SuiteConfig(ids=("amgm", "thm1.1-phi-inside"), dims=(2, 3), trials=3, p_grid=(300.0,))
+    with pytest.raises(ConfigInvalid,
+                       match=r"^thm1.1-phi-inside, n = 2, trial 0: constant is not finite at p = 300"):
+        run_suite(cfg)
+    assert main(["verify", "--ineq", "thm1.1-phi-inside,amgm", "--n", "2,3", "--trials", "3",
+                 "--p", "300"]) == 2
+    assert "error: thm1.1-phi-inside, n = 2, trial 0: constant is not finite" in capsys.readouterr().err
+
+    _escape_at(monkeypatch, 2)
+    with pytest.raises(OpineqError) as info:
+        run_suite(SuiteConfig(ids=("lemma2.2-i", "amgm"), dims=(2,), trials=4, seed=3))
+    assert type(info.value) is OpineqError
+    assert str(info.value).startswith("lemma2.2-i, n = 2, trial 2: instance spectrum escaped")
+    assert main(["verify", "--ineq", "amgm", "--n", "2", "--trials", "4"]) == 2
+    assert "error: amgm, n = 2, trial 2: instance spectrum escaped" in capsys.readouterr().err
+
+
+def test_stack_error_of_two_failing_cases_is_the_earlier_case(monkeypatch):
+    """check_block checks every case's hypothesis and constant before any
+    stack, so on its own it raises trial 3's overflowing constant first; the
+    suite re-checks the cases in trial order and raises trial 1's escaped
+    spectrum, as checking them one at a time does."""
+    cfg = SuiteConfig(ids=("thm1.1-phi-inside",), dims=(2,), trials=4, p_grid=(2.0, 2.0, 2.0, 300.0))
+    _escape_at(monkeypatch, 1)
+    cases = suite._block_cases(cfg, get_entry("thm1.1-phi-inside"), 2)
+    with pytest.raises(ConfigInvalid, match="constant is not finite at p = 300"):
+        verifier.check_block(cases)
+    with pytest.raises(OpineqError, match=r"^thm1.1-phi-inside, n = 2, trial 1: instance spectrum"):
+        run_suite(cfg)
 
 
 def test_search_amgm_reaches_equality():

@@ -20,9 +20,11 @@ from opineq.errors import (
 )
 from opineq.maps import MapSpec, random_map
 from opineq.sampler import Instance, sample_instance
+from opineq import verifier
 from opineq.verifier import (
     REGISTRY,
     InequalityCase,
+    check_block,
     check_case,
     compare_constants,
     get_entry,
@@ -336,3 +338,44 @@ def test_every_entry_checks_one_sampled_case():
         v = check_case(case)
         assert np.isfinite(v.gap), ineq_id
         assert np.isfinite(v.relative_gap), ineq_id
+
+
+def _mixed_group(n):
+    """Cases of every registry id at dimension n, as the suite builds them,
+    over weights that include the nu in {0, 1} shortcut."""
+    from opineq.suite import SuiteConfig, _block_cases
+
+    cfg = SuiteConfig(trials=18, seed=77, nu_grid=(0.0, 0.3, 1.0, 0.5, 0.75))
+    return [case for ineq_id in registry_ids()
+            for case in _block_cases(cfg, get_entry(ineq_id), n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_check_block_is_check_case_row_by_row(n):
+    """One check_block over every id gives, case by case, the bits of
+    check_case: stacks mix ids, compression widths, weights (nu in {0, 1}
+    included) and powers (p in {0.5, 2}, and the -1 power of the bracket)."""
+    cases = _mixed_group(n)
+    widths = {c.phi.out_dim for c in cases if c.phi is not None and c.phi.kind == "compression"}
+    assert n < 3 or len(widths) >= 2
+    assert {c.params.nu for c in cases} >= {0.0, 1.0}
+    assert {c.params.p for c in cases} >= {0.5, 2.0}
+    assert any(get_entry(c.ineq_id).sides is verifier._reverse_bracket
+               and 0.0 < c.params.nu < 1.0 for c in cases)
+    scales = [1.0 + 0.01 * (i % 3) for i in range(len(cases))]
+    stacked = check_block(cases, constant_scales=scales)
+    for case, scale, got in zip(cases, scales, stacked):
+        alone = check_case(case, constant_scale=scale)
+        assert got.gap.hex() == alone.gap.hex(), case.ineq_id
+        assert got.relative_gap.hex() == alone.relative_gap.hex(), case.ineq_id
+        assert (got.holds, got.confirmed) == (alone.holds, alone.confirmed), case.ineq_id
+        assert got == alone
+
+
+def test_check_block_splits_groups_larger_than_a_stack(monkeypatch):
+    """A group past the stack cap runs as several stacks with the same rows."""
+    cases = _mixed_group(3)
+    whole = check_block(cases)
+    monkeypatch.setattr(verifier, "STACK_BYTES", 16 * 3 * 3 * 4)
+    assert verifier.stack_rows(3) == 4
+    assert check_block(cases) == whole
