@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .constants import SandwichBounds
-from .errors import MalformedSpec
+from .errors import DimensionMismatch, MalformedSpec
 from .maps import MapSpec
 from .sampler import Instance
 
@@ -117,18 +117,15 @@ def instance_to_obj(inst: Instance) -> dict:
 
 def obj_to_instance(obj: dict) -> Instance:
     try:
-        inst = Instance(
+        return Instance(
             A=obj_to_matrix(obj["A"]),
             B=obj_to_matrix(obj["B"]),
             bounds=SandwichBounds.from_dict(obj["bounds"]),
             seed=int(obj["seed"]),
             n=int(obj["n"]),
         )
-    except _BAD_PAYLOAD as exc:
+    except _BAD_PAYLOAD + (DimensionMismatch,) as exc:
         raise MalformedSpec(f"bad instance payload: {exc!r}") from exc
-    if not inst.A.shape == inst.B.shape == (inst.n, inst.n):
-        raise MalformedSpec(f"instance n = {inst.n}, but A is {inst.A.shape} and B {inst.B.shape}")
-    return inst
 
 
 def save_json(path: str, obj) -> None:

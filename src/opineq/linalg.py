@@ -20,8 +20,10 @@ is accepted anywhere and promoted.  Every function here also takes a stack
 of square matrices, shape (T, n, n), and acts on each matrix as it would
 alone, to the bit: the gates judge each matrix on its own, and stacked
 LAPACK and matmul calls return, slice by slice, what single calls return.
-A stack of more than one matrix is decomposed by one LAPACK call and does
-not pass through the memo, which keeps single matrices only.
+One memo rule: a 2-D matrix goes through the memo; any stack, a stack of
+one included, is one LAPACK call.  Callers share the convention: a case is
+a 2-D matrix with Python-float parameters, a stack has an array of T values
+per parameter, which per_matrix shapes to scale the stack.
 """
 
 from __future__ import annotations
@@ -108,17 +110,14 @@ def eigh(A) -> SpectralDecomposition:
 
     LAPACK's Hermitian solver (``numpy.linalg.eigh``) behind the Hermitian
     gate, so non-Hermitian and non-finite input raises NonHermitianInput.
-    Eigenvalues come back sorted ascending with matching columns.  A single
-    matrix, alone or as a stack of one, goes through the memo, and its
-    arrays are read-only: they may be shared with earlier callers that
-    passed a matrix with the same entries (see the module docstring).
+    Eigenvalues come back sorted ascending with matching columns.  A 2-D
+    matrix goes through the memo, and its arrays are read-only: they may be
+    shared with earlier callers that passed a matrix with the same entries
+    (see the module docstring).  A stack is one LAPACK call.
     """
     M = as_square(A)
     if M.ndim == 2:
         return _eigh_of_bytes(M.shape[0], M.tobytes())
-    if len(M) == 1:
-        w, V = _eigh_of_bytes(M.shape[1], M[0].tobytes())
-        return SpectralDecomposition(w[None], V[None])
     return SpectralDecomposition(*np.linalg.eigh(require_hermitian(M)))
 
 
@@ -165,7 +164,7 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
         for value in sorted(exponents - {0.0, 1.0}):
             rows = t == value
             pw[rows] = _power_values(w[rows], value)
-        out[rest] = _compose(U, pw)
+        out[rest] = compose(U, pw)
     return out
 
 
@@ -175,7 +174,7 @@ def _power(M: np.ndarray, t: float, spectrum) -> np.ndarray:
         M = require_hermitian(M)
         return np.broadcast_to(identity(M.shape[-1]), M.shape).copy() if t == 0.0 else M.copy()
     w, U = eigh(M) if spectrum is None else spectrum
-    return _compose(U, _power_values(w, t))
+    return compose(U, _power_values(w, t))
 
 
 def _power_values(w: np.ndarray, t: float) -> np.ndarray:
@@ -216,9 +215,22 @@ def _first(values, bad):
     return values if np.ndim(values) == 0 else values[bad][0]
 
 
-def _compose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
+def compose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
     """hermitize(U diag(w) U*), over a stack too."""
     return hermitize((U * w[..., None, :]) @ U.conj().swapaxes(-1, -2))
+
+
+def per_matrix(x):
+    """A scalar, or one value per matrix of a stack shaped to scale it."""
+    return x if isinstance(x, float) or np.ndim(x) == 0 else x[:, None, None]
+
+
+def rows_of(x, rows):
+    """The chosen rows of a per-matrix array or of a stack's spectrum; a
+    scalar stays as it is."""
+    if isinstance(x, SpectralDecomposition):
+        return SpectralDecomposition(x[0][rows], x[1][rows])
+    return x if np.ndim(x) == 0 else x[rows]
 
 
 def loewner_gap(A, B) -> float:

@@ -111,27 +111,29 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
         raise DimensionMismatch(
             f"map expects dimension {phi.n}, matrix has {M.shape[0]}"
         )
-    if phi.kind == "identity":
-        return M.copy()
+    if phi.kind in ("identity", "pinching", "diagonal"):
+        return np.where(_kept(phi), M, 0)
     if phi.kind == "trace_average":
         return (np.trace(M) / phi.n) * identity(phi.n)
     if phi.kind == "compression":
         V = phi.payload
         return V.conj().T @ M @ V
-    if phi.kind == "pinching":
-        out = np.zeros_like(M)
-        for block in phi.payload:
-            idx = np.asarray(block)
-            out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
-        return out
     if phi.kind == "unitary_mixture":
         out = np.zeros_like(M)
         for w, U in phi.payload:
             out += w * (U @ M @ U.conj().T)
         return out
-    if phi.kind == "diagonal":
-        return np.diag(np.diag(M)).astype(np.complex128)
     raise UnknownKind(f"unknown map kind {phi.kind!r}")
+
+
+def _kept(phi: MapSpec) -> np.ndarray:
+    """Mask of the entries whose row and column share a block: one block
+    for identity, the payload's for pinching, n of one for diagonal."""
+    block = np.zeros(phi.n, dtype=int) if phi.kind == "identity" else np.arange(phi.n)
+    if phi.kind == "pinching":
+        for b, idx in enumerate(phi.payload):
+            block[list(idx)] = b
+    return block[:, None] == block
 
 
 def apply_maps(phis, X) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadBounds, DimensionMismatch, WeightOutOfRange
-from .linalg import SpectralDecomposition, as_square, eigh, hermitize, matrix_power
+from .linalg import SpectralDecomposition, as_square, eigh, hermitize, matrix_power, per_matrix, rows_of
 
 
 def _check_pair(A, B):
@@ -43,16 +43,11 @@ def _check_nu(nu):
     return nu
 
 
-def _per_matrix(x):
-    """A scalar, or one value per matrix of a stack shaped to scale it."""
-    return x if isinstance(x, float) or np.ndim(x) == 0 else x[:, None, None]
-
-
 def arithmetic_mean(A, B, nu) -> np.ndarray:
     """(1 - nu) A + nu B."""
     MA, MB = _check_pair(A, B)
     nu = _check_nu(nu)
-    return _per_matrix(1.0 - nu) * MA + _per_matrix(nu) * MB
+    return per_matrix(1.0 - nu) * MA + per_matrix(nu) * MB
 
 
 def geometric_mean(A, B, nu, spectrum: Optional[SpectralDecomposition] = None) -> np.ndarray:
@@ -107,20 +102,12 @@ def bracket_term(A, B, m, M, nu, spectra: Optional[tuple] = None) -> np.ndarray:
             out = base.copy()
             if live.any():
                 out[live] = bracket_term(
-                    MA[live], MB[live], _rows(m, live), _rows(M, live), nu[live],
-                    None if spectra is None else (_rows(spectra[0], live), _rows(spectra[1], live)),
+                    MA[live], MB[live], rows_of(m, live), rows_of(M, live), nu[live],
+                    None if spectra is None else tuple(rows_of(s, live) for s in spectra),
                 )
             return out
     sA, sB = spectra if spectra is not None else (None, None)
     Ai = matrix_power(MA, -1.0, sA)
     Bi = matrix_power(MB, -1.0, sB)
     defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5)
-    return hermitize(base + _per_matrix(2.0 * r * M * m) * defect)
-
-
-def _rows(x, rows):
-    """The chosen rows of a per-matrix array or of a stack's spectrum; a
-    scalar stays as it is."""
-    if isinstance(x, SpectralDecomposition):
-        return SpectralDecomposition(x[0][rows], x[1][rows])
-    return x if np.ndim(x) == 0 else x[rows]
+    return hermitize(base + per_matrix(2.0 * r * M * m) * defect)

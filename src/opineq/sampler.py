@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SandwichBounds
-from .errors import BadBounds, OpineqError
-from .linalg import eigh, hermitize
+from .errors import BadBounds, DimensionMismatch, OpineqError
+from .linalg import compose, eigh
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,11 +137,6 @@ def _haar(g: np.ndarray, n: int) -> np.ndarray:
     return Q
 
 
-def _compose(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """hermitize(Q diag(lam) Q*), over a stack too."""
-    return hermitize((Q * lam[..., None, :]) @ Q.conj().swapaxes(-1, -2))
-
-
 def haar_unitary(n: int, rng: SplitMix64) -> np.ndarray:
     """Haar-distributed unitary from the next 2n^2 normals of `rng`."""
     return _haar(rng.gauss(2 * n * n), n)
@@ -174,7 +169,7 @@ def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.nda
         lam = np.sort(lo + (hi - lo) * ((z[:, :n] >> 11) * _UNIT))
         if force_endpoints and n >= 2:
             lam[:, 0], lam[:, -1] = lo[:, 0], hi[:, 0]
-        out[live] = _compose(_haar(_box_muller(z[:, n:]), n), lam)
+        out[live] = compose(_haar(_box_muller(z[:, n:]), n), lam)
     return out
 
 
@@ -199,6 +194,12 @@ class Instance:
     bounds: SandwichBounds
     seed: int
     n: int
+
+    def __post_init__(self):
+        if not np.shape(self.A) == np.shape(self.B) == (self.n, self.n):
+            raise DimensionMismatch(
+                f"instance n = {self.n}, but A is {np.shape(self.A)} and B {np.shape(self.B)}"
+            )
 
 
 def verify_instance(inst: Instance, slack: float = CONTAINMENT_SLACK) -> float:
@@ -259,4 +260,4 @@ def build_from_spectrum(lam, frame_seed: int) -> np.ndarray:
     explicitly instead of drawing them.
     """
     lam = np.sort(np.asarray(lam, dtype=float))
-    return _compose(haar_unitary(lam.size, SplitMix64(frame_seed)), lam)
+    return compose(haar_unitary(lam.size, SplitMix64(frame_seed)), lam)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -267,10 +268,6 @@ def _raise_first_failure(cfg: SuiteConfig, pending: list) -> None:
             raise type(exc)(f"{ineq_id}, n = {n}, trial {trial}: {message}") from exc
 
 
-def _run_group_star(args) -> list[dict]:
-    return _run_group(*args)
-
-
 @dataclass(frozen=True)
 class Report:
     config_hash: str
@@ -318,7 +315,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
     if cfg.workers > 1 and len(groups) > 1:
         serial_cfg = replace(cfg, workers=1)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_group_star, [(serial_cfg, g) for g in groups], chunksize=1))
+            results = list(pool.map(_run_group, itertools.repeat(serial_cfg), groups, chunksize=1))
     else:
         results = [_run_group(cfg, g) for g in groups]
     cases = [row for block in results for row in block]

@@ -48,9 +48,9 @@ from .errors import (
     ConfigInvalid,
     DegenerateInterval,
 )
-from .linalg import SpectralDecomposition, eigh, hermitize, matrix_power, op_norm, spectral_norm
+from .linalg import SpectralDecomposition, eigh, hermitize, matrix_power, op_norm, per_matrix, spectral_norm
 from .maps import MapSpec, apply_maps
-from .means import _per_matrix, arithmetic_mean, bracket_term, geometric_mean
+from .means import arithmetic_mean, bracket_term, geometric_mean
 from .sampler import Instance, verify_instances
 
 DEFAULT_TOL = 1e-9
@@ -186,19 +186,10 @@ def _amgm(x):
 
 
 def _power_monotone(x):
-    swap = [b.kind == "sandwich_B_low" for b in x.bounds]
-    lo, lo_s = _pick(swap, (x.B, x.sB), (x.A, x.sA))
-    hi, hi_s = _pick(swap, (x.A, x.sA), (x.B, x.sB))
-    return "loewner", matrix_power(lo, x.p, lo_s), matrix_power(hi, x.p, hi_s)
-
-
-def _pick(mask, yes, no):
-    """(matrix, spectrum) from `yes` where the case's mask is set, else from `no`."""
-    if yes[0].ndim == 2:
-        return yes if mask[0] else no
-    m = np.array(mask)
-    return np.where(m[:, None, None], yes[0], no[0]), SpectralDecomposition(
-        np.where(m[:, None], yes[1][0], no[1][0]), np.where(m[:, None, None], yes[1][1], no[1][1]))
+    PA, PB = matrix_power(x.A, x.p, x.sA), matrix_power(x.B, x.p, x.sB)
+    # the lower operand's power on the left: B's where B is the lower bound
+    swap = per_matrix(_per_case(x, (b.kind == "sandwich_B_low" for b in x.bounds)))
+    return "loewner", np.where(swap, PB, PA), np.where(swap, PA, PB)
 
 
 def _choi(x):
@@ -218,7 +209,7 @@ def _lemma22_ii(x):
 
 def _lemma22_iii(x):
     t = _squares(x, spectral_norm(matrix_power(x.A, 0.5, x.sA) @ matrix_power(x.B, -0.5, x.sB)))
-    return "loewner", x.A, _per_matrix(t) * x.B
+    return "loewner", x.A, per_matrix(t) * x.B
 
 
 def _lemma23(x):
@@ -228,8 +219,8 @@ def _lemma23(x):
     Si = eigh(Ai)
     defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5, Si)
     k = _per_case(x, (kantorovich(math.sqrt(b.hp)) ** e for b, e in zip(x.bounds, r1)))
-    scaled = _per_matrix(k) * geometric_mean(Ai, Bi, x.nu, Si)
-    lhs = _per_matrix(_per_case(x, (2.0 * v for v in r))) * defect + scaled
+    scaled = per_matrix(k) * geometric_mean(Ai, Bi, x.nu, Si)
+    lhs = per_matrix(_per_case(x, (2.0 * v for v in r))) * defect + scaled
     return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
@@ -493,8 +484,8 @@ def check_block(
     """Evaluate many cases, one verdict per case in order.
 
     Cases whose sides are computed by the same code (the same `sides`
-    function and form, the same matrix shape and dtype, and the same map
-    output dimension, since compression rows shrink to k) are evaluated
+    function and form, the same dimension n, and the same map output
+    dimension, since compression rows shrink to k) are evaluated
     together as (T, n, n) stacks of at most stack_rows(n) cases; a stack of
     one goes through check_case.  Every verdict is bit-identical to the one
     the case gets alone: each gate judges each case on its own, exponents
@@ -526,13 +517,12 @@ def check_block(
     groups: dict = {}
     for i, (case, scale) in enumerate(zip(cases, scales)):
         row = _admit(case, scale)
-        A, B = case.instance.A, case.instance.B
-        key = (row.entry.sides, row.entry.outside, A.shape, A.dtype, B.shape, B.dtype,
+        key = (row.entry.sides, row.entry.outside, case.instance.n,
                None if case.phi is None else case.phi.out_dim)
         groups.setdefault(key, []).append((i, row))
     verdicts: list = [None] * len(cases)
-    for (_, _, shape, *_), members in groups.items():
-        size = stack_rows(shape[-1])
+    for (_, _, n, _), members in groups.items():
+        size = stack_rows(n)
         for lo in range(0, len(members), size):
             chunk = members[lo:lo + size]
             if len(chunk) == 1:
@@ -561,8 +551,8 @@ def _admit(case: InequalityCase, scale: float) -> _Row:
 
 
 def _check_stack(rows: list, tol: float) -> list[Verdict]:
-    """Verdicts for rows that share one sides function, form, shape and
-    dtype.  A lone row runs on its plain matrices and Python floats."""
+    """Verdicts for rows that share one sides function, form and dimension.
+    A lone row runs on its plain matrices and Python floats."""
     sides, outside = rows[0].entry.sides, rows[0].entry.outside
     insts = [row.case.instance for row in rows]
     prm = [row.case.params for row in rows]

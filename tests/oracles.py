@@ -2,9 +2,10 @@
 
 Kept deliberately dumb: a golden-section minimizer and the secant-ratio
 objective, and the constants of the paper's displays transcribed afresh,
-with no shared code paths into the package under test; and the sampler's
+with no shared code paths into the package under test; the sampler's
 reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
-which share only the generator's scalar `next_float` stream with it.
+which share only the generator's scalar `next_float` stream with it; and
+the block-diagonal maps as index copies.
 """
 
 import math
@@ -98,3 +99,18 @@ def haar_gram_schmidt(n, rng):
                 Q[:, j] -= (Q[:, i].conj() @ Q[:, j]) * Q[:, i]
             Q[:, j] /= np.linalg.norm(Q[:, j])
     return Q
+
+
+def pinch(M, blocks):
+    """The pinching of M: zeros, then each diagonal block copied through
+    its index set."""
+    out = np.zeros_like(M)
+    for block in blocks:
+        idx = np.asarray(block)
+        out[np.ix_(idx, idx)] = M[np.ix_(idx, idx)]
+    return out
+
+
+def diagonal_part(M):
+    """The diagonal of M as a complex diagonal matrix."""
+    return np.diag(np.diag(M)).astype(np.complex128)

@@ -87,6 +87,57 @@ def test_eigh_memo_returns_lapack_bits_read_only():
     assert hit.eigenvectors is miss.eigenvectors
 
 
+def _psd_stack(seed, T=5, n=3):
+    return np.stack([random_psd(n, seed + i, shift=0.1) for i in range(T)])
+
+
+def test_eigh_stack_of_one_is_one_lapack_call_with_the_memo_bits():
+    A = random_hermitian(4, 31)
+    w1, V1 = eigh(A)
+    before = linalg._eigh_of_bytes.cache_info()
+    w, V = eigh(A[None])
+    assert linalg._eigh_of_bytes.cache_info() == before
+    assert (w.shape, V.shape) == ((1, 4), (1, 4, 4))
+    assert w[0].tobytes() == w1.tobytes() and V[0].tobytes() == V1.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.5, [0.0, 1.0, 0.5, -1.0, 2.0]])
+def test_matrix_power_on_a_stack_is_each_single_call(t):
+    S = _psd_stack(40)
+    exps = np.broadcast_to(np.asarray(t, dtype=float), (len(S),))
+    ref = np.stack([matrix_power(M, float(e)) for M, e in zip(S, exps)])
+    for spectrum in (None, eigh(S)):
+        assert matrix_power(S, t, spectrum).tobytes() == ref.tobytes()
+
+
+def test_norms_and_projections_on_a_stack_are_each_single_call():
+    S = _psd_stack(50)
+    X = S @ S[::-1]  # products of positive matrices: not Hermitian
+    assert op_norm(S).tolist() == [op_norm(M) for M in S]
+    assert spectral_norm(X).tolist() == [spectral_norm(M) for M in X]
+    assert hermitize(X).tobytes() == np.stack([hermitize(M) for M in X]).tobytes()
+    assert require_hermitian(S).tobytes() == S.tobytes()
+
+
+@pytest.mark.parametrize("gate, bad, call, value", [
+    (NonHermitianInput, np.array([[1.0, 1.0], [0.0, 2.0]]), require_hermitian, ""),
+    (NotPositiveSemidefinite, np.diag([-0.5, 1.0]), lambda S: matrix_power(S, 0.5), "-5.000e-01"),
+    (SingularMatrix, np.diag([1e-14, 1.0]), lambda S: matrix_power(S, -1.0), "1.000e-14"),
+])
+def test_a_stack_fails_a_gate_on_the_one_bad_matrix(gate, bad, call, value):
+    """Only matrix k fails: the stack raises that gate's class, with the
+    message matrix k raises alone."""
+    S = _psd_stack(60, n=2)
+    k = 3
+    S[k] = bad
+    with pytest.raises(gate) as alone:
+        call(S[k])
+    with pytest.raises(gate) as stacked:
+        call(S)
+    assert value in str(stacked.value)
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_eigh_memo_does_not_cache_a_failed_gate():
     bad = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]]))
     for M in bad:

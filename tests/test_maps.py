@@ -16,6 +16,8 @@ from opineq.maps import (
 from opineq.means import geometric_mean
 from opineq.sampler import SplitMix64, derive_seed, haar_unitary, sample_constrained
 
+from . import oracles
+
 
 def test_trace_average_example():
     phi = MapSpec("trace_average", 4)
@@ -157,3 +159,23 @@ def test_random_maps_stack_is_each_single_draw(n):
                     np.testing.assert_array_equal(Ug, Ur)
             else:
                 assert got.payload == ref.payload
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_block_diagonal_maps_match_index_copy_oracle(n):
+    """Identity, diagonal and every pinching random_map draws keep M's bits,
+    negative zeros included, and put +0 elsewhere, as index copies do."""
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M.real[::2, 1::2] = -0.0
+    M.imag[1::2, ::2] = -0.0
+    M.imag[0, 0] = -0.0
+    cases = [(MapSpec("identity", n), M.copy()), (MapSpec("diagonal", n), oracles.diagonal_part(M))]
+    blocks = {random_map(n, "pinching", seed).payload for seed in range(64)}
+    if n <= 5:  # every split into contiguous blocks is drawn
+        assert len(blocks) == 2 ** (n - 1)
+    cases += [(MapSpec("pinching", n, b), oracles.pinch(M, b)) for b in sorted(blocks)]
+    for phi, ref in cases:
+        got = apply_map(phi, M)
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes(), phi.describe()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opineq import sampler
 from opineq.constants import SandwichBounds
-from opineq.errors import BadBounds, OpineqError
+from opineq.errors import BadBounds, DimensionMismatch, OpineqError
 from opineq.linalg import eigh, hermitize
 from opineq.sampler import (
     Instance,
@@ -212,6 +212,24 @@ def test_verify_instance_rejects_escaped_spectrum():
     bad = Instance(A=3.0 * np.eye(2), B=np.eye(2), bounds=b, seed=0, n=2)
     with pytest.raises(OpineqError):
         verify_instance(bad)
+
+
+_I2 = np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "A, B, n",
+    [
+        (np.array([2.0, 0.0]), 2.0 * _I2, 2),
+        (2.0 * _I2[None], 2.0 * _I2, 2),
+        (2.0 * _I2, 2.0 * _I2, 3),
+        (2.0 * _I2, 2.0 * np.eye(3), 2),
+    ],
+    ids=["1-D-A", "stack-of-one-A", "n-disagrees-with-matrices", "A-and-B-differ-in-size"],
+)
+def test_instance_requires_an_n_by_n_pair(A, B, n):
+    with pytest.raises(DimensionMismatch):
+        Instance(A=A, B=B, bounds=SandwichBounds.common(1.0, 3.0), seed=0, n=n)
 
 
 @settings(max_examples=30, deadline=None)

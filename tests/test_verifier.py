@@ -372,6 +372,32 @@ def test_check_block_is_check_case_row_by_row(n):
         assert got == alone
 
 
+def test_check_block_stacks_real_and_complex_pairs_as_check_case(monkeypatch):
+    """Real and complex pairs of one dimension share a stack, promoted to
+    complex128 as check_case promotes them, with check_case's bits."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for i in range(8):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A, B = ((Q * rng.uniform(0.6, 2.9, 3)) @ Q.T for _ in range(2))
+        A, B = (0.5 * (X + X.T) for X in (A, B))
+        if i % 2:
+            A, B = A.astype(np.complex128), B.astype(np.complex128)
+        inst = Instance(A=A, B=B, bounds=SandwichBounds.common(0.5, 3.0), seed=i, n=3)
+        cases.append(InequalityCase(("amgm", "lemma2.2-i")[i % 4 // 2], inst, None, CaseParams(nu=0.3)))
+    sizes = []
+    check_stack = verifier._check_stack
+
+    def spy(rows, tol):
+        sizes.append(len(rows))
+        return check_stack(rows, tol)
+
+    monkeypatch.setattr(verifier, "_check_stack", spy)
+    stacked = check_block(cases)
+    assert sizes == [4, 4]
+    assert stacked == [check_case(case) for case in cases]
+
+
 def test_check_block_splits_groups_larger_than_a_stack(monkeypatch):
     """A group past the stack cap runs as several stacks with the same rows."""
     cases = _mixed_group(3)
