@@ -28,6 +28,8 @@ MAP_KINDS = (
     "diagonal",
 )
 
+_MASKED = ("identity", "pinching", "diagonal")  # the block-diagonal kinds: masked copies
+
 STRUCT_TOL = 1e-12   # isometry / unitarity / weight-sum certificate
 RESIDUAL_TOL = 1e-9  # unitality / positivity / linearity residuals
 
@@ -111,7 +113,7 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
         raise DimensionMismatch(
             f"map expects dimension {phi.n}, matrix has {M.shape[0]}"
         )
-    if phi.kind in ("identity", "pinching", "diagonal"):
+    if phi.kind in _MASKED:
         return np.where(_kept(phi), M, 0)
     if phi.kind == "trace_average":
         return (np.trace(M) / phi.n) * identity(phi.n)
@@ -138,11 +140,35 @@ def _kept(phi: MapSpec) -> np.ndarray:
 
 def apply_maps(phis, X) -> np.ndarray:
     """Each matrix of the stack X under its own map, re-stacked; the maps
-    must share one output dimension.  A single matrix takes the one map."""
+    must share one output dimension.  A single matrix takes the one map.
+
+    The block-diagonal kinds run as one masked copy over their stacked
+    masks, the trace averages as one batched trace, and the compressions as
+    one batched V* M V product; unitary mixtures go matrix by matrix.  Each
+    result has apply_map's bits."""
     if X.ndim == 2:
         (phi,) = phis
         return apply_map(phi, X)
-    return np.stack([apply_map(phi, M) for phi, M in zip(phis, X)])
+    X = np.asarray(X, dtype=np.complex128)
+    for phi in phis:
+        if phi.n != X.shape[-1]:
+            raise DimensionMismatch(f"map expects dimension {phi.n}, matrix has {X.shape[-1]}")
+    rows: dict = {}
+    for i, phi in enumerate(phis):
+        rows.setdefault("masked" if phi.kind in _MASKED else phi.kind, []).append(i)
+    k = phis[0].out_dim
+    out = np.empty((len(phis), k, k), dtype=np.complex128)
+    for kind, idx in rows.items():
+        if kind == "masked":
+            out[idx] = np.where(np.stack([_kept(phis[i]) for i in idx]), X[idx], 0)
+        elif kind == "trace_average":
+            out[idx] = (np.trace(X[idx], axis1=-2, axis2=-1) / k)[:, None, None] * identity(k)
+        elif kind == "compression":
+            V = np.stack([phis[i].payload for i in idx])
+            out[idx] = V.conj().swapaxes(-1, -2) @ X[idx] @ V
+        else:  # unitary_mixture: its terms differ in number from map to map
+            out[idx] = [apply_map(phis[i], X[i]) for i in idx]
+    return out
 
 
 @dataclass(frozen=True)

@@ -253,11 +253,13 @@ def stack_instances(bounds, n: int, seeds, force_endpoints: bool = False) -> lis
     ]
 
 
-def build_from_spectrum(lam, frame_seed: int) -> np.ndarray:
-    """Hermitian matrix with the given eigenvalues and a seeded Haar frame.
+def build_from_spectra(lams, frame_seeds) -> np.ndarray:
+    """Stack of Hermitian matrices, row i with the eigenvalues lams[i] and
+    the Haar frame haar_unitary(n, SplitMix64(frame_seeds[i])).  Each slice
+    has the bits of its single build; all frames are one haar_stack.
 
     Used by the tightness search, which steers eigenvalue placements
     explicitly instead of drawing them.
     """
-    lam = np.sort(np.asarray(lam, dtype=float))
-    return compose(haar_unitary(lam.size, SplitMix64(frame_seed)), lam)
+    lam = np.sort(np.asarray(lams, dtype=float), axis=-1)
+    return compose(haar_stack(lam.shape[-1], [SplitMix64(s).state for s in frame_seeds]), lam)

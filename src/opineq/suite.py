@@ -9,7 +9,9 @@ tightness_search drives the relative gap of one inequality toward zero
 from above by random-restart coordinate moves over everything the
 hypothesis leaves free: eigenvalue placements inside their intervals,
 eigenvector frames (including aligning the two frames so the pair
-commutes), the bounds themselves, the map, and the exponents.
+commutes), the bounds themselves, the map, and the exponents.  Each step
+proposes a batch of SEARCH_BATCH candidates, builds their matrices and maps
+as stacks and checks them as one check_block call, and moves to the best.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from typing import Optional
 from .constants import CaseParams, SandwichBounds
 from .errors import ConfigInvalid, HypothesisNotMet, OpineqError
 from .io import dumps_canonical, instance_to_obj, map_to_obj
-from .maps import MAP_KINDS, random_map, random_maps
-from .sampler import Instance, SplitMix64, build_from_spectrum, derive_seed, stack_instances
+from .maps import MAP_KINDS, random_maps
+from .sampler import Instance, SplitMix64, build_from_spectra, derive_seed, stack_instances
 from .verifier import (
     ALPHA_GRID,
     DEFAULT_TOL,
     NU_GRID,
     InequalityCase,
     RegistryEntry,
+    admit,
     check_block,
     check_case,
     get_entry,
@@ -350,6 +353,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 NU_SPECIALS = (0.0, 0.25, 0.5, 0.75, 1.0)
+SEARCH_BATCH = 16  # candidates a search step proposes and checks as one check_block call
 
 
 @dataclass(frozen=True)
@@ -501,26 +505,46 @@ def _mutate_state(entry: RegistryEntry, st: _SearchState, n: int, rng: SplitMix6
     return st
 
 
-def _reuse(operands: dict, fn, *args):
-    """fn(*args), taken from `operands` when the search built it before."""
-    key = (fn, *args)
-    if key not in operands:
-        operands[key] = fn(*args)
-    return operands[key]
+def _built(operands: dict, keys: list, build) -> list:
+    """The operand of each key: taken from `operands` when the search built
+    it since the last restart, else built; all new ones come from one
+    build(*columns) call over the new keys' columns.  Keys are (spectrum,
+    frame seed) for matrices and (kind, seed) for maps, so they never
+    collide."""
+    new = [key for key in dict.fromkeys(keys) if key not in operands]
+    if new:
+        operands.update(zip(new, build(*zip(*new))))
+    return [operands[key] for key in keys]
 
 
-def _eval_state(entry: RegistryEntry, st: _SearchState, n: int, tol: float, operands: dict):
-    A = _reuse(operands, build_from_spectrum, st.lamA, st.frameA)
-    B = _reuse(operands, build_from_spectrum, st.lamB, st.frameA if st.aligned else st.frameB)
-    instance = Instance(A=A, B=B, bounds=st.bounds, seed=st.frameA, n=n)
-    phi = _reuse(operands, random_map, n, st.map_kind, st.map_seed) if entry.uses_phi else None
-    case = InequalityCase(
-        ineq_id=entry.ineq_id,
-        instance=instance,
-        phi=phi,
-        params=CaseParams(nu=st.nu, p=st.p, alpha=st.alpha),
-    )
-    return check_case(case, tol=tol)
+def _check_batch(entry: RegistryEntry, batch: list, n: int, tol: float, operands: dict) -> list:
+    """The batch's verdicts in order, None for a candidate its hypothesis
+    rejects.  check_block's own gate screens each candidate, and the ones it
+    admits are checked as one check_block call."""
+    size = len(batch)
+    pairs = _built(operands, [(st.lamA, st.frameA) for st in batch]
+                   + [(st.lamB, st.frameA if st.aligned else st.frameB) for st in batch],
+                   build_from_spectra)
+    phis = _built(operands, [(st.map_kind, st.map_seed) for st in batch],
+                  lambda kinds, seeds: random_maps(n, kinds, seeds)) if entry.uses_phi else [None] * size
+    cases, admitted = [], []
+    for i, st in enumerate(batch):
+        case = InequalityCase(
+            ineq_id=entry.ineq_id,
+            instance=Instance(A=pairs[i], B=pairs[size + i], bounds=st.bounds, seed=st.frameA, n=n),
+            phi=phis[i],
+            params=CaseParams(nu=st.nu, p=st.p, alpha=st.alpha),
+        )
+        cases.append(case)
+        try:
+            admit(case)
+        except HypothesisNotMet:
+            continue
+        admitted.append(i)
+    verdicts = [None] * size
+    for i, verdict in zip(admitted, check_block([cases[i] for i in admitted], tol)):
+        verdicts[i] = verdict
+    return verdicts
 
 
 def tightness_search(
@@ -534,10 +558,18 @@ def tightness_search(
     """Hunt for the smallest relative gap an inequality attains.
 
     The special id "scalar-lemma" searches the scalar refinement slack over
-    (x, nu) instead of operator instances; pass nu to pin the weight.
+    (x, nu) instead of operator instances; pass nu to pin the weight, which
+    only an entry with a free weight (or the scalar lemma) accepts.
 
-    Most steps move one coordinate, so the search keeps the matrices and
-    maps it built since the last fresh state and reuses them; both builders
+    Each step proposes SEARCH_BATCH candidates, fresh states after a restart
+    and mutations of the current state otherwise, and checks them as one
+    check_block call.  The batch's lowest relative gap (the first on a tie)
+    is the step's move.  A candidate its hypothesis rejects still counts as
+    an evaluation, and a batch never straddles a restart or the end of the
+    budget, so `evaluations` equals the budget.
+
+    Most mutations move one coordinate, so the search keeps the matrices
+    and maps it built since the last restart and reuses them; both builders
     are pure functions of their arguments, so reuse changes no result.
     """
     if budget < 1:
@@ -548,6 +580,10 @@ def tightness_search(
     if ineq_id == "scalar-lemma":
         return _search_scalar_lemma(budget, seed, nu)
     entry = get_entry(ineq_id)
+    if nu is not None and entry.nu_mode != "grid":
+        raise ConfigInvalid(
+            f"{ineq_id} does not leave its weight free (nu_mode {entry.nu_mode!r}); nu cannot be set"
+        )
     rng = SplitMix64(derive_seed(seed, "search", ineq_id, n))
     restart_every = max(50, budget // 8)
     best_val = math.inf
@@ -557,23 +593,29 @@ def tightness_search(
     operands: dict = {}
     evals = 0
     while evals < budget:
-        if state is None or evals % restart_every == 0:
+        if evals % restart_every == 0:
+            state = None
+        if state is None:
             operands.clear()
-            candidate = _fresh_state(entry, n, rng)
             current_val = math.inf
-        else:
-            candidate = _mutate_state(entry, state, n, rng)
-        if nu is not None and entry.nu_mode == "grid":
-            candidate.nu = nu
-        try:
-            verdict = _eval_state(entry, candidate, n, tol, operands)
-        except HypothesisNotMet:
-            evals += 1
+        size = min(SEARCH_BATCH, budget - evals, restart_every - evals % restart_every)
+        batch = [
+            _fresh_state(entry, n, rng) if state is None else _mutate_state(entry, state, n, rng)
+            for _ in range(size)
+        ]
+        if nu is not None:
+            for candidate in batch:
+                candidate.nu = nu
+        verdicts = _check_batch(entry, batch, n, tol, operands)
+        evals += size
+        scored = [(v.relative_gap, i) for i, v in enumerate(verdicts) if v is not None]
+        if not scored:
             continue
-        evals += 1
+        _, pick = min(scored)  # a tie goes to the first proposed
+        verdict = verdicts[pick]
         # hill-climb on the relative gap; rare uphill accepts escape plateaus
         if verdict.relative_gap <= current_val or rng.next_float() < 0.1:
-            state = candidate
+            state = batch[pick]
             current_val = verdict.relative_gap
             # a gap within tol of zero is a tight case (often an identity, as
             # at nu in {0, 1}): its sign is rounding noise, so do not climb on

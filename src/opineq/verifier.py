@@ -253,7 +253,11 @@ def _reverse_power(x, left):
         mean = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
     else:
         mean = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
-    return "loewner", matrix_power(_phi(x, left), x.p), matrix_power(mean, x.p)
+    # both blocks raised to p as one stack
+    blocks = np.stack([_phi(x, left), mean])
+    p = x.p if np.ndim(x.p) == 0 else np.tile(x.p, 2)
+    lhs, rhs = matrix_power(blocks.reshape((-1,) + mean.shape[-2:]), p).reshape(blocks.shape)
+    return "loewner", lhs, rhs
 
 
 def _reverse_am(x):
@@ -458,7 +462,7 @@ def check_case(
 ) -> Verdict:
     """Evaluate one inequality on one instance: check_block's path for a
     stack of one case, run on the plain matrices (see check_block)."""
-    return _check_stack([_admit(case, constant_scale)], tol)[0]
+    return _check_stack([admit(case, constant_scale)], tol)[0]
 
 
 def stack_rows(n: int) -> int:
@@ -516,7 +520,7 @@ def check_block(
     scales = [1.0] * len(cases) if constant_scales is None else list(constant_scales)
     groups: dict = {}
     for i, (case, scale) in enumerate(zip(cases, scales)):
-        row = _admit(case, scale)
+        row = admit(case, scale)
         key = (row.entry.sides, row.entry.outside, case.instance.n,
                None if case.phi is None else case.phi.out_dim)
         groups.setdefault(key, []).append((i, row))
@@ -534,9 +538,10 @@ def check_block(
     return verdicts
 
 
-def _admit(case: InequalityCase, scale: float) -> _Row:
-    """The per-case gates: the hypothesis, a finite constant, a map of the
-    instance's dimension where the entry needs one."""
+def admit(case: InequalityCase, scale: float = 1.0) -> _Row:
+    """The per-case gates check_block runs before any stack: the hypothesis,
+    a finite constant, a map of the instance's dimension where the entry
+    needs one.  Raises the first gate's error, else returns the case's row."""
     entry = get_entry(case.ineq_id)
     prm = case.params
     nu = prm.nu if entry.nu_mode == "grid" else 0.5
@@ -587,12 +592,14 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
         lhs_norm, rhs_norm = lhs, rhs
         gap = rhs_norm - lhs_norm
     else:
+        # D, lhs and rhs as one stack: one LAPACK call gives D's lambda_min
+        # and eigenvectors and both sides' norms
         D = hermitize(rhs - lhs)
-        w, V = eigh(D)
-        gap = w[..., 0]
-        lhs_norm = op_norm(lhs)
-        rhs_norm = op_norm(rhs)
-        D, V = D.reshape((-1,) + D.shape[-2:]), V.reshape((-1,) + V.shape[-2:])
+        w, V = eigh(np.stack([D, lhs, rhs]).reshape((-1,) + D.shape[-2:]))
+        w = w.reshape(3, len(rows), -1)
+        gap = w[0, :, 0]
+        lhs_norm, rhs_norm = np.maximum(abs(w[1:, :, 0]), abs(w[1:, :, -1]))
+        D, V = D.reshape((-1,) + D.shape[-2:]), V[:len(rows)]
     relative_gap = gap / (1.0 + rhs_norm)
     verdicts = []
     for i, row, g, rg, ln, rn in zip(

@@ -126,6 +126,26 @@ def test_search_cli(capsys):
     assert abs(rec["best_gap"]) <= 1e-12
 
 
+@pytest.mark.parametrize("ineq_id", ["lin", "eq217", "choi", "lh"])
+def test_search_nu_on_an_entry_without_a_free_weight_exits_2(capsys, ineq_id):
+    """--nu pins a free weight; an entry that fixes its weight (nu = 1/2)
+    or has none refuses it instead of searching at another weight."""
+    code, out, err = run_cli(capsys, "search", "--ineq", ineq_id, "--n", "2",
+                             "--budget", "5", "--nu", "0.3")
+    assert code == 2
+    assert "error:" in err and "nu" in err
+    assert out == ""
+
+
+def test_search_nu_pins_a_free_weight(capsys):
+    code, out, _ = run_cli(capsys, "search", "--ineq", "ando", "--n", "2",
+                           "--budget", "20", "--nu", "0.3")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["evaluations"] == 20
+    assert rec["params"]["nu"] == 0.3
+
+
 def test_help_lists_registry_ids(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

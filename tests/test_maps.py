@@ -9,6 +9,7 @@ from opineq.maps import (
     MAP_KINDS,
     MapSpec,
     apply_map,
+    apply_maps,
     random_map,
     random_maps,
     validate_map,
@@ -179,3 +180,33 @@ def test_block_diagonal_maps_match_index_copy_oracle(n):
         got = apply_map(phi, M)
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
         assert got.tobytes() == ref.tobytes(), phi.describe()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_apply_maps_is_apply_map_slice_by_slice(n):
+    """A stack under mixed maps of every kind has, slice by slice, the bits
+    apply_map gives each matrix alone, negative zeros included; stacks are
+    split by output dimension, as the verifier splits them."""
+    kinds = [MAP_KINDS[t % len(MAP_KINDS)] for t in range(4 * len(MAP_KINDS))]
+    phis = random_maps(n, kinds, [derive_seed(3, "apply", n, t) for t in range(len(kinds))])
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((len(phis), n, n)) + 1j * rng.standard_normal((len(phis), n, n))
+    X.real[:, ::2, 1::2] = -0.0
+    X.imag[:, 1::2, ::2] = -0.0
+    by_dim: dict = {}
+    for i, phi in enumerate(phis):
+        by_dim.setdefault(phi.out_dim, []).append(i)
+    seen = set()
+    for k, rows in by_dim.items():
+        got = apply_maps([phis[i] for i in rows], X[rows])
+        assert (got.dtype, got.shape) == (np.complex128, (len(rows), k, k))
+        for i, G in zip(rows, got):
+            ref = apply_map(phis[i], X[i])
+            assert G.tobytes() == ref.tobytes(), phis[i].describe()
+            seen.add(phis[i].kind)
+    assert seen == set(MAP_KINDS)
+
+
+def test_apply_maps_checks_the_dimension():
+    with pytest.raises(DimensionMismatch):
+        apply_maps([MapSpec("identity", 3)] * 2, np.zeros((2, 2, 2)))

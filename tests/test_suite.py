@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opineq import linalg, sampler, suite, verifier
+from opineq import linalg, maps, sampler, suite, verifier
 from opineq.cli import main
-from opineq.constants import SandwichBounds
-from opineq.errors import ConfigInvalid, OpineqError, UnknownInequality
+from opineq.constants import CaseParams, SandwichBounds
+from opineq.errors import ConfigInvalid, HypothesisNotMet, OpineqError, UnknownInequality
 from opineq.sampler import SplitMix64, derive_seed, sample_constrained, sample_instance
 from opineq.suite import (
     Report,
@@ -313,3 +313,76 @@ def test_search_decomposes_each_distinct_matrix_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     tightness_search("thm2.7-phi-inside", budget=120, seed=1, n=2)
     assert 0 < len(calls) <= 830
+
+
+@pytest.mark.parametrize("budget", [1, 2, 15, 16, 17, 49, 50, 51, 120, 121])
+def test_search_evaluations_equal_budget(budget):
+    """Batches never straddle a restart or the end of the budget, and a
+    candidate the hypothesis rejects still counts (lin rejects every p
+    move off p = 1)."""
+    for ineq_id in ("lin", "thm3.4", "amgm"):
+        assert tightness_search(ineq_id, budget=budget, seed=3, n=2).evaluations == budget
+
+
+@pytest.mark.parametrize("ineq_id", ["lin", "thm2.7-phi-outside", "choi", "lemma2.2-i"])
+def test_search_batch_is_check_case_candidate_by_candidate(ineq_id):
+    """A batch's verdicts have check_case's bits on the same candidates;
+    the batch mixes map output dimensions and holds candidates the
+    hypothesis gate drops (a power outside the entry's domain)."""
+    entry = get_entry(ineq_id)
+    n = 3
+    rng = SplitMix64(derive_seed(5, "batch", ineq_id))
+    batch = []
+    for i in range(2 * suite.SEARCH_BATCH):
+        st = suite._fresh_state(entry, n, rng)
+        if i % 4 == 1:
+            st = replace(st, p=0.25)  # outside every domain but choi's and lemma2.2-i's
+        st = replace(st, map_kind=("compression", "pinching", "identity")[i % 3], map_seed=i)
+        batch.append(st)
+    verdicts = suite._check_batch(entry, batch, n, 1e-9, {})
+    dims, dropped = set(), 0
+    for st, got in zip(batch, verdicts):
+        phi = maps.random_map(n, st.map_kind, st.map_seed) if entry.uses_phi else None
+        A, B = sampler.build_from_spectra(
+            [st.lamA, st.lamB], [st.frameA, st.frameA if st.aligned else st.frameB])
+        case = verifier.InequalityCase(
+            ineq_id, sampler.Instance(A=A, B=B, bounds=st.bounds, seed=st.frameA, n=n), phi,
+            CaseParams(nu=st.nu, p=st.p, alpha=st.alpha))
+        try:
+            alone = verifier.check_case(case)
+        except HypothesisNotMet:
+            assert got is None
+            dropped += 1
+            continue
+        dims.add(None if phi is None else phi.out_dim)
+        assert got.gap.hex() == alone.gap.hex()
+        assert got.relative_gap.hex() == alone.relative_gap.hex()
+        assert (got.holds, got.confirmed) == (alone.holds, alone.confirmed)
+        assert got == alone
+    if ineq_id in ("lin", "thm2.7-phi-outside"):
+        assert dropped >= suite.SEARCH_BATCH // 2
+        assert len(dims) >= 2
+
+
+@pytest.mark.parametrize("ineq_id", ["thm3.4", "thm3.3", "lee-printed"])
+def test_search_refutes_must_violate_entries_at_every_seed(ineq_id):
+    for seed in range(40):
+        rec = tightness_search(ineq_id, budget=120, seed=seed, n=2)
+        assert not rec.holds, seed
+
+
+def test_search_lapack_calls(monkeypatch):
+    """Batched candidates are decomposed as stacks: a search of thm2.7's
+    inside form makes at most 200 LAPACK calls for 120 evaluations."""
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counting_eigh(M):
+        calls.append(1)
+        return lapack(M)
+
+    linalg._eigh_of_bytes.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rec = tightness_search("thm2.7-phi-inside", budget=120, seed=1, n=2)
+    assert rec.evaluations == 120
+    assert 0 < len(calls) <= 200

@@ -405,3 +405,26 @@ def test_check_block_splits_groups_larger_than_a_stack(monkeypatch):
     monkeypatch.setattr(verifier, "STACK_BYTES", 16 * 3 * 3 * 4)
     assert verifier.stack_rows(3) == 4
     assert check_block(cases) == whole
+
+
+def test_reverse_power_stack_takes_five_lapack_calls(monkeypatch):
+    """A stack of reverse AM-GM rows decomposes A, B, the mean's inner
+    matrix, both blocks (raised to p as one stack) and D with both sides
+    (one stack that also gives the norms): five LAPACK calls."""
+    from opineq.suite import SuiteConfig, _block_cases
+
+    cases = [case for case in _block_cases(SuiteConfig(trials=12, seed=3), get_entry("thm1.1-phi-inside"), 3)
+             if case.phi.out_dim == 3]
+    assert len(cases) >= 4 and {c.params.p for c in cases} == {2.0, 3.5}
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counting_eigh(M):
+        calls.append(len(M))
+        return lapack(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    stacked = check_block(cases)
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert stacked == [check_case(case) for case in cases]
