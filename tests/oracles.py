@@ -4,8 +4,10 @@ Kept deliberately dumb: a golden-section minimizer and the secant-ratio
 objective, and the constants of the paper's displays transcribed afresh,
 with no shared code paths into the package under test; the sampler's
 reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
-which share only the generator's scalar `next_float` stream with it; and
-the block-diagonal maps as index copies.
+which share only the generator's scalar `next_float` stream with it; the
+block-diagonal maps as index copies; and both sides of a few registry
+statements, one case at a time, through plain ``np.linalg.eigh`` and the
+textbook formulas.
 """
 
 import math
@@ -114,3 +116,43 @@ def pinch(M, blocks):
 def diagonal_part(M):
     """The diagonal of M as a complex diagonal matrix."""
     return np.diag(np.diag(M)).astype(np.complex128)
+
+
+def _hermitian(X):
+    return (X + X.conj().T) / 2.0
+
+
+def power(M, t):
+    """M^t for a positive Hermitian M, by the spectral theorem."""
+    w, U = np.linalg.eigh(_hermitian(M))
+    return _hermitian((U * np.maximum(w, 0.0) ** t) @ U.conj().T)
+
+
+def geometric_mean(A, B, nu):
+    """A #_nu B = A^{1/2} (A^{-1/2} B A^{-1/2})^nu A^{1/2}."""
+    root, inv_root = power(A, 0.5), power(A, -0.5)
+    return _hermitian(root @ power(inv_root @ B @ inv_root, nu) @ root)
+
+
+def statement_sides(ineq_id, A, B, nu, p, blocks, m, M):
+    """(lhs, rhs) of a registry statement lhs <= rhs, constant included on
+    the right: amgm, choi and ando under the pinching over `blocks`, and
+    thm1.1-phi-outside under the identity map (nu = 1/2, common bounds
+    m, M)."""
+    if ineq_id == "amgm":
+        return geometric_mean(A, B, nu), (1.0 - nu) * A + nu * B
+    if ineq_id == "choi":
+        return power(pinch(A, blocks), -1.0), pinch(power(A, -1.0), blocks)
+    if ineq_id == "ando":
+        mean_of_images = geometric_mean(pinch(A, blocks), pinch(B, blocks), nu)
+        return pinch(geometric_mean(A, B, nu), blocks), mean_of_images
+    if ineq_id == "thm1.1-phi-outside":
+        c = ((M + m) ** 2 / (4.0 ** (2.0 / p) * M * m)) ** p
+        return power((A + B) / 2.0, p), c * power(geometric_mean(A, B, 0.5), p)
+    raise KeyError(ineq_id)
+
+
+def loewner_gap(lhs, rhs):
+    """lambda_min(rhs - lhs)."""
+    w, _ = np.linalg.eigh(_hermitian(rhs - lhs))
+    return float(w[0])

@@ -102,6 +102,16 @@ def test_unevaluable_numbers_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "0.5", "3"])
+def test_verify_bad_alpha_is_reported_as_alpha(capsys, alpha):
+    """thm2.10 derives p = 2 alpha, so a bad alpha must be named as such,
+    not as the bad power it implies."""
+    code, _, err = run_cli(capsys, "verify", "--ineq", "thm2.10-phi-inside", "--n", "2",
+                           "--trials", "1", "--alpha", alpha)
+    assert code == 2
+    assert "alpha" in err
+
+
 def test_gen_deterministic(capsys):
     code, first, _ = run_cli(capsys, "gen", "--n", "2", "--seed", "3",
                              "--m", "1", "--M", "4")

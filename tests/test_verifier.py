@@ -33,6 +33,8 @@ from opineq.verifier import (
     scalar_lemma_gap,
 )
 
+from . import oracles
+
 I2 = np.eye(2)
 
 
@@ -372,6 +374,26 @@ def test_check_block_is_check_case_row_by_row(n):
         assert got == alone
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("ineq_id", ["amgm", "choi", "ando", "thm1.1-phi-outside"])
+def test_check_case_gap_matches_an_independent_oracle(ineq_id, n):
+    """check_case's gap is lambda_min(c rhs - lhs) of the same case computed
+    one matrix at a time by tests/oracles.py, which shares no code with
+    opineq."""
+    m, M = 0.5, 3.0
+    bounds = SandwichBounds.common(m, M)
+    blocks = ((0,), tuple(range(1, n)))
+    for seed, (nu, p) in enumerate([(0.3, 2.0), (0.5, 3.5), (0.8, 2.0), (1.0, 3.5)]):
+        inst = sample_instance(bounds, n, seed)
+        phi = MapSpec("identity", n) if ineq_id == "thm1.1-phi-outside" else MapSpec("pinching", n, blocks)
+        case = InequalityCase(ineq_id, inst, None if ineq_id == "amgm" else phi,
+                              CaseParams(nu=nu, p=p if ineq_id == "thm1.1-phi-outside" else 1.0))
+        lhs, rhs = oracles.statement_sides(ineq_id, inst.A, inst.B, nu, p, blocks, m, M)
+        want = oracles.loewner_gap(lhs, rhs)
+        got = check_case(case).gap
+        assert abs(got - want) <= 1e-9 * (1.0 + np.linalg.norm(rhs, 2)), (seed, got, want)
+
+
 def test_check_block_stacks_real_and_complex_pairs_as_check_case(monkeypatch):
     """Real and complex pairs of one dimension share a stack, promoted to
     complex128 as check_case promotes them, with check_case's bits."""
@@ -396,6 +418,28 @@ def test_check_block_stacks_real_and_complex_pairs_as_check_case(monkeypatch):
     stacked = check_block(cases)
     assert sizes == [4, 4]
     assert stacked == [check_case(case) for case in cases]
+
+
+def test_check_block_sends_a_group_of_one_through_check_case(monkeypatch):
+    """A group of exactly one case is checked by a check_case call, and a
+    larger group by none.  perfbench's verifier.accept_ratio divides by the
+    check_case calls a pass makes; without this call a traced pass whose
+    groups all hold several cases divides by zero."""
+    bounds = SandwichBounds.common(0.5, 3.0)
+    lone = make_case("amgm", np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), bounds, nu=0.3)
+    pair = [make_case("choi", np.diag([1.0, 2.0 + k]), I2, bounds, phi=MapSpec("identity", 2))
+            for k in range(2)]
+    seen = []
+    real = verifier.check_case
+
+    def spy(case, tol=verifier.DEFAULT_TOL, constant_scale=1.0):
+        seen.append(case.ineq_id)
+        return real(case, tol, constant_scale)
+
+    monkeypatch.setattr(verifier, "check_case", spy)
+    verdicts = check_block([pair[0], lone, pair[1]])
+    assert seen == ["amgm"]
+    assert verdicts[1] == real(lone)
 
 
 def test_check_block_splits_groups_larger_than_a_stack(monkeypatch):
