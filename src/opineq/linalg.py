@@ -11,8 +11,13 @@ is accepted anywhere and promoted.  Every function here also takes a stack
 of square matrices, shape (T, n, n), and acts on each matrix as it would
 alone, to the bit: the gates judge each matrix on its own, and stacked
 LAPACK and matmul calls return, slice by slice, what single calls return.
-A parameter is a Python float for every matrix, or on a stack an array of
-T values, which per_matrix shapes to scale the stack.
+There is one implementation per operation, the stacked one: matrix_power
+lifts a single matrix to a stack of one, and the norms and gates read each
+matrix's extreme eigenvalues as w[..., 0] and w[..., -1].  What comes back
+per matrix (a norm, a gap, a PSD flag) is a Python float or bool for a
+single matrix and an array for a stack.  A parameter is a Python float for
+every matrix, or on a stack an array of T values, which per_matrix shapes
+to scale the stack.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def require_hermitian(A) -> np.ndarray:
     scale = 1.0 + (np.maximum.reduce(abs(M).reshape(flat), axis=-1) if M.size else 0.0)
     dev = np.maximum.reduce(abs(M - M.conj().swapaxes(-1, -2)).reshape(flat), axis=-1)
     # written so that a NaN or infinite entry fails it too
-    if not _all(dev <= HERM_TOL * scale):
+    if not (dev <= HERM_TOL * scale).all():
         raise NonHermitianInput(
             f"matrix has a non-finite entry or deviates from Hermitian symmetry "
             f"beyond {HERM_TOL:g}*(1+max|entry|)"
@@ -115,7 +120,11 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
     matrix.  `spectrum` is eigh(A) when the caller already has it.
     """
     M = as_square(A)
-    if isinstance(t, float) or np.ndim(t) == 0:
+    if M.ndim == 2:  # a single matrix is a stack of one
+        if spectrum is not None:
+            spectrum = SpectralDecomposition(spectrum[0][None], spectrum[1][None])
+        return matrix_power(M[None], t, spectrum)[0]
+    if np.ndim(t) == 0:
         return _power(M, float(t), spectrum)
     t = np.asarray(t, dtype=float)
     exponents = set(t.tolist())
@@ -128,7 +137,7 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
             out[rows] = _power(M[rows], shortcut, None)
     rest = (t != 0.0) & (t != 1.0)
     if rest.any():
-        w, U = eigh(M[rest]) if spectrum is None else (spectrum[0][rest], spectrum[1][rest])
+        w, U = eigh(M[rest]) if spectrum is None else rows_of(spectrum, rest)
         t = t[rest]
         pw = np.empty_like(w)
         # each distinct exponent as a Python float: numpy computes w ** 0.5,
@@ -141,7 +150,7 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
 
 
 def _power(M: np.ndarray, t: float, spectrum) -> np.ndarray:
-    """M^t, one exponent for every matrix."""
+    """M^t, one exponent for every matrix of the stack M."""
     if t == 0.0 or t == 1.0:
         M = require_hermitian(M)
         return np.broadcast_to(identity(M.shape[-1]), M.shape).copy() if t == 0.0 else M.copy()
@@ -150,41 +159,22 @@ def _power(M: np.ndarray, t: float, spectrum) -> np.ndarray:
 
 
 def _power_values(w: np.ndarray, t: float) -> np.ndarray:
-    """w ** t under matrix_power's policy; w holds ascending eigenvalues
-    along its last axis, one row per matrix."""
+    """w ** t under matrix_power's policy; w holds one row of ascending
+    eigenvalues per matrix."""
     if t == round(t) and t > 0:
         return w ** t
-    if w.ndim == 1:
-        lam_min, lam_max = float(w[0]), max(float(w[-1]), 0.0)
-    else:
-        lam_min, lam_max = w[:, 0], np.maximum(w[:, -1], 0.0)
+    lam_min, lam_max = w[:, 0], np.maximum(w[:, -1], 0.0)
     if t < 0:
         bad = lam_min <= SINGULAR_TOL * lam_max
-        if _any(bad):
-            raise SingularMatrix(
-                f"negative power {t} of a matrix with lam_min={_first(lam_min, bad):.3e}"
-            )
+        if bad.any():
+            raise SingularMatrix(f"negative power {t} of a matrix with lam_min={lam_min[bad][0]:.3e}")
         return w ** t
     bad = lam_min < -PSD_TOL * (1.0 + lam_max)
-    if _any(bad):
+    if bad.any():
         raise NotPositiveSemidefinite(
-            f"fractional power {t} of a matrix with lam_min={_first(lam_min, bad):.3e}"
+            f"fractional power {t} of a matrix with lam_min={lam_min[bad][0]:.3e}"
         )
     return np.maximum(w, 0.0) ** t
-
-
-def _any(flags) -> bool:
-    """Whether any matrix's flag is set: one bool, or an array of them."""
-    return flags.any() if isinstance(flags, np.ndarray) else bool(flags)
-
-
-def _all(flags) -> bool:
-    return flags.all() if isinstance(flags, np.ndarray) else bool(flags)
-
-
-def _first(values, bad):
-    """The value of the first matrix that failed a gate."""
-    return values if np.ndim(values) == 0 else values[bad][0]
 
 
 def compose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -194,33 +184,35 @@ def compose(U: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def per_matrix(x):
     """A scalar, or one value per matrix of a stack shaped to scale it."""
-    return x if isinstance(x, float) or np.ndim(x) == 0 else x[:, None, None]
+    return x if np.ndim(x) == 0 else x[:, None, None]
 
 
-def rows_of(x, rows):
-    """The chosen rows of a per-matrix array or of a stack's spectrum."""
-    if isinstance(x, SpectralDecomposition):
-        return SpectralDecomposition(x[0][rows], x[1][rows])
-    return x[rows]
+def rows_of(spectrum, rows) -> SpectralDecomposition:
+    """The chosen rows of a stack's spectrum."""
+    return SpectralDecomposition(spectrum[0][rows], spectrum[1][rows])
 
 
-def loewner_gap(A, B) -> float:
-    """lambda_min(B - A): nonnegative exactly when A <= B in Loewner order."""
-    MA = as_matrix(A)
-    MB = as_matrix(B)
+def _each(values):
+    """A Python scalar for a single matrix, the array for a stack."""
+    return values.item() if values.ndim == 0 else values
+
+
+def loewner_gap(A, B):
+    """lambda_min(B - A): nonnegative exactly when A <= B in Loewner order;
+    an array of gaps for a stack."""
+    MA = as_square(A)
+    MB = as_square(B)
     if MA.shape != MB.shape:
         raise DimensionMismatch(f"shapes {MA.shape} and {MB.shape} differ")
     w, _ = eigh(hermitize(MB - MA))
-    return float(w[0])
+    return _each(w[..., 0])
 
 
 def op_norm(A):
     """Operator (spectral) norm of a Hermitian matrix: max |lambda_i|; an
     array of norms for a stack."""
     w, _ = eigh(A)
-    if w.ndim == 1:
-        return float(max(abs(w[0]), abs(w[-1])))
-    return np.maximum(abs(w[:, 0]), abs(w[:, -1]))
+    return _each(np.maximum(abs(w[..., 0]), abs(w[..., -1])))
 
 
 def spectral_norm(X):
@@ -234,11 +226,11 @@ def spectral_norm(X):
     if M.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
     w, _ = eigh(hermitize(M.conj().swapaxes(-1, -2) @ M))
-    if w.ndim == 1:
-        return float(np.sqrt(max(w[-1], 0.0)))
-    return np.sqrt(np.maximum(w[:, -1], 0.0))
+    return _each(np.sqrt(np.maximum(w[..., -1], 0.0)))
 
 
-def is_psd(A, tol: float = PSD_TOL) -> bool:
+def is_psd(A, tol: float = PSD_TOL):
+    """lambda_min >= -tol * (1 + max(lambda_max, 0)): a bool, or an array of
+    them for a stack."""
     w, _ = eigh(A)
-    return w[0] >= -tol * (1.0 + max(float(w[-1]), 0.0))
+    return _each(w[..., 0] >= -tol * (1.0 + np.maximum(w[..., -1], 0.0)))

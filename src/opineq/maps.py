@@ -107,25 +107,9 @@ def _structural_check(phi: MapSpec):
 
 
 def apply_map(phi: MapSpec, A) -> np.ndarray:
-    """Apply the map; linear, PSD-preserving, unital by construction."""
-    M = as_matrix(A)
-    if M.shape[0] != phi.n:
-        raise DimensionMismatch(
-            f"map expects dimension {phi.n}, matrix has {M.shape[0]}"
-        )
-    if phi.kind in _MASKED:
-        return np.where(_kept(phi), M, 0)
-    if phi.kind == "trace_average":
-        return (np.trace(M) / phi.n) * identity(phi.n)
-    if phi.kind == "compression":
-        V = phi.payload
-        return V.conj().T @ M @ V
-    if phi.kind == "unitary_mixture":
-        out = np.zeros_like(M)
-        for w, U in phi.payload:
-            out += w * (U @ M @ U.conj().T)
-        return out
-    raise UnknownKind(f"unknown map kind {phi.kind!r}")
+    """Apply the map; linear, PSD-preserving, unital by construction.  The
+    matrix is a stack of one for apply_maps."""
+    return apply_maps([phi], as_matrix(A)[None])[0]
 
 
 def _kept(phi: MapSpec) -> np.ndarray:
@@ -144,8 +128,10 @@ def apply_maps(phis, X) -> np.ndarray:
 
     The block-diagonal kinds run as one masked copy over their stacked
     masks, the trace averages as one batched trace, and the compressions as
-    one batched V* M V product; unitary mixtures go matrix by matrix.  Each
-    result has apply_map's bits."""
+    one batched V* M V product.  Unitary mixtures run term by term: for each
+    term index j, one batched U M U* product over the maps that have a j-th
+    term, added in term order onto zeros, so each result has the bits of
+    summing its own terms one at a time."""
     X = np.asarray(X, dtype=np.complex128)
     for phi in phis:
         if phi.n != X.shape[-1]:
@@ -164,7 +150,18 @@ def apply_maps(phis, X) -> np.ndarray:
             V = np.stack([phis[i].payload for i in idx])
             out[idx] = V.conj().swapaxes(-1, -2) @ X[idx] @ V
         else:  # unitary_mixture: its terms differ in number from map to map
-            out[idx] = [apply_map(phis[i], X[i]) for i in idx]
+            out[idx] = _mixtures([phis[i].payload for i in idx], X[idx])
+    return out
+
+
+def _mixtures(payloads, X: np.ndarray) -> np.ndarray:
+    """sum_j w_j U_j M U_j* for each matrix M of X under its own terms."""
+    out = np.zeros_like(X)
+    for j in range(max(len(terms) for terms in payloads)):
+        has = [t for t, terms in enumerate(payloads) if len(terms) > j]
+        w = np.array([payloads[t][j][0] for t in has])
+        U = np.stack([payloads[t][j][1] for t in has])
+        out[has] += w[:, None, None] * (U @ X[has] @ U.conj().swapaxes(-1, -2))
     return out
 
 

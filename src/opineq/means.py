@@ -29,16 +29,11 @@ def _check_pair(A, B):
 
 
 def _check_nu(nu):
-    """nu as a Python float, or as a float array with one weight per matrix
-    of a stack."""
-    if isinstance(nu, float) or np.ndim(nu) == 0:
-        nu = float(nu)
-        if not 0.0 <= nu <= 1.0:
-            raise WeightOutOfRange(f"nu must be in [0, 1], got {nu}")
-        return nu
+    """nu as a float array: 0-d for one weight, or one weight per matrix of
+    a stack."""
     nu = np.asarray(nu, dtype=float)
     bad = ~((0.0 <= nu) & (nu <= 1.0))
-    if np.count_nonzero(bad):
+    if bad.any():
         raise WeightOutOfRange(f"nu must be in [0, 1], got {nu[bad][0]}")
     return nu
 
@@ -79,35 +74,22 @@ def bracket_term(A, B, m, M, nu, spectra: Optional[tuple] = None) -> np.ndarray:
     may hold one value per matrix; `spectra` is (eigh(A), eigh(B)) when the
     caller already has them.
     """
-    if np.ndim(m) == 0 and np.ndim(M) == 0:
-        m, M = float(m), float(M)
-        if not 0.0 < m <= M:
-            raise BadBounds(f"need 0 < m <= M, got m={m}, M={M}")
-    else:
-        m, M = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(M, dtype=float))
-        bad = ~((0.0 < m) & (m <= M))
-        if bad.any():
-            raise BadBounds(f"need 0 < m <= M, got m={m[bad][0]}, M={M[bad][0]}")
+    m, M = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(M, dtype=float))
+    bad = ~((0.0 < m) & (m <= M))
+    if bad.any():
+        raise BadBounds(f"need 0 < m <= M, got m={m[bad][0]}, M={M[bad][0]}")
     nu = _check_nu(nu)
     MA, MB = _check_pair(A, B)
-    base = arithmetic_mean(MA, MB, nu)
-    if np.ndim(nu) == 0:
-        r = min(nu, 1.0 - nu)
-        if r == 0.0:
-            return base
-    else:
-        r = np.minimum(nu, 1.0 - nu)
-        live = r != 0.0
-        if not live.all():  # rows with r = 0 keep the arithmetic mean
-            out = base.copy()
-            if live.any():
-                out[live] = bracket_term(
-                    MA[live], MB[live], rows_of(m, live), rows_of(M, live), nu[live],
-                    None if spectra is None else tuple(rows_of(s, live) for s in spectra),
-                )
-            return out
-    sA, sB = spectra if spectra is not None else (None, None)
-    Ai = matrix_power(MA, -1.0, sA)
-    Bi = matrix_power(MB, -1.0, sB)
+    out = arithmetic_mean(MA, MB, nu)
+    r = np.minimum(nu, 1.0 - nu)
+    # rows with r = 0 keep the arithmetic mean; on a single matrix the 0-d
+    # mask indexes a stack of one
+    live = r != 0.0
+    if not live.any():
+        return out
+    sA, sB = (None, None) if spectra is None else (rows_of(s, live) for s in spectra)
+    Ai = matrix_power(MA[live], -1.0, sA)
+    Bi = matrix_power(MB[live], -1.0, sB)
     defect = arithmetic_mean(Ai, Bi, 0.5) - geometric_mean(Ai, Bi, 0.5)
-    return hermitize(base + per_matrix(2.0 * r * M * m) * defect)
+    out[live] = hermitize(out[live] + per_matrix((2.0 * r * M * m)[live]) * defect)
+    return out

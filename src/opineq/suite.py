@@ -11,7 +11,8 @@ hypothesis leaves free: eigenvalue placements inside their intervals,
 eigenvector frames (including aligning the two frames so the pair
 commutes), the bounds themselves, the map, and the exponents.  Each step
 proposes a batch of SEARCH_BATCH candidates, builds their matrices and maps
-as stacks and checks them as one check_block call, and moves to the best.
+as stacks, passes each through verifier.admit once and checks the admitted
+ones as one check_rows call, and moves to the best.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .verifier import (
     admit,
     check_block,
     check_case,
+    check_rows,
     get_entry,
     registry_ids,
     require_hypothesis,
@@ -353,7 +355,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 NU_SPECIALS = (0.0, 0.25, 0.5, 0.75, 1.0)
-SEARCH_BATCH = 16  # candidates a search step proposes and checks as one check_block call
+SEARCH_BATCH = 16  # candidates a search step proposes and checks as one check_rows call
 
 
 @dataclass(frozen=True)
@@ -519,15 +521,15 @@ def _built(operands: dict, keys: list, build) -> list:
 
 def _check_batch(entry: RegistryEntry, batch: list, n: int, tol: float, operands: dict) -> list:
     """The batch's verdicts in order, None for a candidate its hypothesis
-    rejects.  check_block's own gate screens each candidate, and the ones it
-    admits are checked as one check_block call."""
+    rejects.  verifier.admit screens each candidate once, and the rows it
+    admits are checked as one check_rows call."""
     size = len(batch)
     pairs = _built(operands, [(st.lamA, st.frameA) for st in batch]
                    + [(st.lamB, st.frameA if st.aligned else st.frameB) for st in batch],
                    build_from_spectra)
     phis = _built(operands, [(st.map_kind, st.map_seed) for st in batch],
                   lambda kinds, seeds: random_maps(n, kinds, seeds)) if entry.uses_phi else [None] * size
-    cases, admitted = [], []
+    rows, admitted = [], []
     for i, st in enumerate(batch):
         case = InequalityCase(
             ineq_id=entry.ineq_id,
@@ -535,14 +537,13 @@ def _check_batch(entry: RegistryEntry, batch: list, n: int, tol: float, operands
             phi=phis[i],
             params=CaseParams(nu=st.nu, p=st.p, alpha=st.alpha),
         )
-        cases.append(case)
         try:
-            admit(case)
+            rows.append(admit(case))
         except HypothesisNotMet:
             continue
         admitted.append(i)
     verdicts = [None] * size
-    for i, verdict in zip(admitted, check_block([cases[i] for i in admitted], tol)):
+    for i, verdict in zip(admitted, check_rows(rows, tol)):
         verdicts[i] = verdict
     return verdicts
 
@@ -562,11 +563,12 @@ def tightness_search(
     only an entry with a free weight (or the scalar lemma) accepts.
 
     Each step proposes SEARCH_BATCH candidates, fresh states after a restart
-    and mutations of the current state otherwise, and checks them as one
-    check_block call.  The batch's lowest relative gap (the first on a tie)
-    is the step's move.  A candidate its hypothesis rejects still counts as
-    an evaluation, and a batch never straddles a restart or the end of the
-    budget, so `evaluations` equals the budget.
+    and mutations of the current state otherwise; verifier.admit screens
+    each once, and the ones it admits are checked as one check_rows call.
+    The batch's lowest relative gap (the first on a tie) is the step's move.
+    A candidate its hypothesis rejects still counts as an evaluation, and a
+    batch never straddles a restart or the end of the budget, so
+    `evaluations` equals the budget.
 
     Most mutations move one coordinate, so the search keeps the matrices
     and maps it built since the last restart and reuses them; both builders

@@ -464,12 +464,13 @@ def stack_rows(n: int) -> int:
 
 class _Row(NamedTuple):
     """One case past the per-case gates: its entry, resolved weight and
-    constant."""
+    constant, and the scale the constant carries."""
 
     case: InequalityCase
     entry: RegistryEntry
     nu: float
     c: float
+    scale: float
 
 
 def check_block(
@@ -509,23 +510,29 @@ def check_block(
     """
     cases = list(cases)
     scales = [1.0] * len(cases) if constant_scales is None else list(constant_scales)
+    return check_rows([admit(case, scale) for case, scale in zip(cases, scales)], tol)
+
+
+def check_rows(rows, tol: float = DEFAULT_TOL) -> list[Verdict]:
+    """check_block for cases that have passed admit: one verdict per row in
+    order, the rows grouped and stacked as check_block describes."""
     groups: dict = {}
-    for i, (case, scale) in enumerate(zip(cases, scales)):
-        row = admit(case, scale)
+    for i, row in enumerate(rows):
+        case = row.case
         key = (row.entry.sides, row.entry.outside, case.instance.n,
                None if case.phi is None else case.phi.out_dim)
-        groups.setdefault(key, []).append((i, row))
-    verdicts: list = [None] * len(cases)
+        groups.setdefault(key, []).append(i)
+    verdicts: list = [None] * len(rows)
     for (_, _, n, _), members in groups.items():
         size = stack_rows(n)
         for lo in range(0, len(members), size):
             chunk = members[lo:lo + size]
             if len(chunk) == 1:
                 # a lone case goes through check_case: perfbench's verifier.accept_ratio divides by its calls
-                i, row = chunk[0]
-                verdicts[i] = check_case(row.case, tol, scales[i])
+                row = rows[chunk[0]]
+                verdicts[chunk[0]] = check_case(row.case, tol, row.scale)
                 continue
-            for (i, _), verdict in zip(chunk, _check_stack([row for _, row in chunk], tol)):
+            for i, verdict in zip(chunk, _check_stack([rows[i] for i in chunk], tol)):
                 verdicts[i] = verdict
     return verdicts
 
@@ -533,7 +540,8 @@ def check_block(
 def admit(case: InequalityCase, scale: float = 1.0) -> _Row:
     """The per-case gates check_block runs before any stack: the hypothesis,
     a finite constant, a map of the instance's dimension where the entry
-    needs one.  Raises the first gate's error, else returns the case's row."""
+    needs one.  Raises the first gate's error, else returns the case's row
+    for check_rows."""
     entry = get_entry(case.ineq_id)
     prm = case.params
     nu = prm.nu if entry.nu_mode == "grid" else 0.5
@@ -544,7 +552,7 @@ def admit(case: InequalityCase, scale: float = 1.0) -> _Row:
         raise HypothesisNotMet(
             f"map dimension {case.phi.n} does not match instance dimension {case.instance.n}"
         )
-    return _Row(case, entry, nu, c)
+    return _Row(case, entry, nu, c, scale)
 
 
 def _check_stack(rows: list, tol: float) -> list[Verdict]:

@@ -5,9 +5,9 @@ objective, and the constants of the paper's displays transcribed afresh,
 with no shared code paths into the package under test; the sampler's
 reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
 which share only the generator's scalar `next_float` stream with it; the
-block-diagonal maps as index copies; and both sides of a few registry
-statements, one case at a time, through plain ``np.linalg.eigh`` and the
-textbook formulas.
+block-diagonal maps as index copies and the other map kinds one matrix at a
+time; and both sides of a few registry statements, one case at a time,
+through plain ``np.linalg.eigh`` and the textbook formulas.
 """
 
 import math
@@ -116,6 +116,43 @@ def pinch(M, blocks):
 def diagonal_part(M):
     """The diagonal of M as a complex diagonal matrix."""
     return np.diag(np.diag(M)).astype(np.complex128)
+
+
+def trace_average(M):
+    """tr(M)/n times the identity."""
+    n = M.shape[0]
+    return (np.trace(M) / n) * np.eye(n, dtype=np.complex128)
+
+
+def compression(M, V):
+    """V* M V."""
+    return V.conj().T @ M @ V
+
+
+def unitary_mixture(M, terms):
+    """sum_j w_j U_j M U_j*, the terms added one at a time onto zeros."""
+    out = np.zeros_like(M)
+    for w, U in terms:
+        out += w * (U @ M @ U.conj().T)
+    return out
+
+
+def map_image(kind, payload, M):
+    """The image of one complex matrix M under a catalog map of the given
+    kind and payload."""
+    if kind == "identity":
+        return M.copy()
+    if kind == "diagonal":
+        return diagonal_part(M)
+    if kind == "pinching":
+        return pinch(M, payload)
+    if kind == "trace_average":
+        return trace_average(M)
+    if kind == "compression":
+        return compression(M, payload)
+    if kind == "unitary_mixture":
+        return unitary_mixture(M, payload)
+    raise KeyError(kind)
 
 
 def _hermitian(X):

@@ -184,6 +184,25 @@ def test_loewner_gap_values():
     assert not is_psd(np.diag([-1e-3, 1.0]))
 
 
+def test_gates_and_gaps_give_one_value_per_matrix():
+    """is_psd and loewner_gap give a Python bool and float for a single
+    matrix and, on a stack, an array with each matrix's value; the norms
+    give a Python float for a single matrix."""
+    S = _psd_stack(70, T=4)
+    S[1] -= 2.0 * np.eye(3)  # an indefinite matrix among positive ones
+    P = _psd_stack(80, T=4)
+    for M, N in zip(S, P):
+        assert type(is_psd(M)) is bool and type(loewner_gap(M, N)) is float
+        assert type(op_norm(M)) is float and type(spectral_norm(M @ N)) is float
+    flags, gaps = is_psd(S), loewner_gap(S, P)
+    assert (flags.dtype, gaps.dtype, flags.shape, gaps.shape) == (bool, float, (4,), (4,))
+    assert flags.tolist() == [is_psd(M) for M in S] == [True, False, True, True]
+    assert gaps.tolist() == [loewner_gap(M, N) for M, N in zip(S, P)]
+    assert is_psd(S, tol=1e3).tolist() == [True] * 4
+    with pytest.raises(DimensionMismatch):
+        loewner_gap(S, P[:3])
+
+
 def test_op_norm_and_spectral_norm():
     assert op_norm(np.array([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0, abs=1e-13)
     # non-Hermitian: largest singular value

@@ -185,9 +185,11 @@ def test_block_diagonal_maps_match_index_copy_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
 def test_apply_maps_is_apply_map_slice_by_slice(n):
     """A stack under mixed maps of every kind has, slice by slice, the bits
-    apply_map gives each matrix alone, negative zeros included; stacks are
-    split by output dimension, as the verifier splits them."""
-    kinds = [MAP_KINDS[t % len(MAP_KINDS)] for t in range(4 * len(MAP_KINDS))]
+    apply_map gives each matrix alone and the bits of the one-matrix oracle
+    (tests/oracles.py), negative zeros included; stacks are split by output
+    dimension, as the verifier splits them, and mix unitary mixtures of two
+    and three terms."""
+    kinds = [MAP_KINDS[t % len(MAP_KINDS)] for t in range(8 * len(MAP_KINDS))]
     phis = random_maps(n, kinds, [derive_seed(3, "apply", n, t) for t in range(len(kinds))])
     rng = np.random.default_rng(n)
     X = rng.standard_normal((len(phis), n, n)) + 1j * rng.standard_normal((len(phis), n, n))
@@ -203,8 +205,12 @@ def test_apply_maps_is_apply_map_slice_by_slice(n):
         for i, G in zip(rows, got):
             ref = apply_map(phis[i], X[i])
             assert G.tobytes() == ref.tobytes(), phis[i].describe()
+            want = oracles.map_image(phis[i].kind, phis[i].payload, X[i])
+            assert (want.dtype, want.shape) == (G.dtype, G.shape)
+            assert G.tobytes() == want.tobytes(), phis[i].describe()
             seen.add(phis[i].kind)
     assert seen == set(MAP_KINDS)
+    assert {len(phi.payload) for phi in phis if phi.kind == "unitary_mixture"} == {2, 3}
 
 
 def test_apply_maps_checks_the_dimension():

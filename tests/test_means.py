@@ -11,7 +11,7 @@ from opineq.errors import (
     SingularMatrix,
     WeightOutOfRange,
 )
-from opineq.linalg import hermitize, loewner_gap, op_norm
+from opineq.linalg import eigh, hermitize, loewner_gap, op_norm
 from opineq.means import arithmetic_mean, bracket_term, geometric_mean
 from opineq.sampler import sample_constrained
 
@@ -88,6 +88,30 @@ def test_bracket_term_reduces_at_trivial_weight():
     # r = min(nu, 1-nu) = 0 at the endpoints: no inverse correction
     np.testing.assert_allclose(bracket_term(A, B, 0.5, 4.0, 0.0), A, atol=1e-12)
     np.testing.assert_allclose(bracket_term(A, B, 0.5, 4.0, 1.0), B, atol=1e-12)
+
+
+def test_bracket_term_stack_mixes_trivial_and_live_weights():
+    """On a stack, rows with nu in {0, 1} (r = 0) have arithmetic_mean's
+    bits, not hermitized, and the other rows match the single-matrix call;
+    with and without the operands' spectra."""
+    nu = np.array([0.0, 0.3, 1.0, 0.5])
+    A = np.stack([sample_constrained(3, 2.0, 4.0, seed=60 + i) for i in range(4)])
+    B = np.stack([sample_constrained(3, 0.5, 1.0, seed=70 + i) for i in range(4)])
+    for X in (A, B):  # off Hermitian in the last bits: hermitize would change them
+        X[:, 0, 1] += 1e-13j
+        X[:, 1, 0] -= 3e-13j
+    m, M = np.full(4, 0.5), np.array([4.0, 4.5, 5.0, 4.0])
+    for spectra in (None, (eigh(A), eigh(B))):
+        out = bracket_term(A, B, m, M, nu, spectra)
+        for i in range(4):
+            if nu[i] in (0.0, 1.0):
+                want = arithmetic_mean(A[i], B[i], nu[i])
+                assert out[i].tobytes() == want.tobytes(), i
+                assert out[i].tobytes() != hermitize(want).tobytes(), i
+            else:
+                alone = bracket_term(A[i], B[i], m[i], M[i], nu[i])
+                np.testing.assert_allclose(out[i], alone, rtol=0, atol=1e-12)
+                assert op_norm(out[i] - arithmetic_mean(A[i], B[i], nu[i])) > 1e-6
 
 
 def test_bracket_term_dominates_arithmetic_mean():

@@ -384,3 +384,28 @@ def test_search_lapack_calls(monkeypatch):
     rec = tightness_search("thm2.7-phi-inside", budget=120, seed=1, n=2)
     assert rec.evaluations == 120
     assert 0 < len(calls) <= 200
+
+
+def test_search_admits_each_candidate_once(monkeypatch):
+    """Each search candidate passes verifier.admit once: the search screens
+    it, and check_rows takes the admitted rows as they are.  Only a lone
+    chunk, which goes through check_case, is admitted a second time."""
+    admitted, lone = [], []
+    real_admit, real_check_case = verifier.admit, verifier.check_case
+
+    def admit_spy(case, scale=1.0):
+        admitted.append(case.ineq_id)
+        return real_admit(case, scale)
+
+    def check_case_spy(case, tol=verifier.DEFAULT_TOL, constant_scale=1.0):
+        lone.append(case.ineq_id)
+        return real_check_case(case, tol, constant_scale)
+
+    monkeypatch.setattr(verifier, "admit", admit_spy)
+    monkeypatch.setattr(suite, "admit", admit_spy)
+    monkeypatch.setattr(verifier, "check_case", check_case_spy)
+    evaluations = 0
+    for ineq_id in ("lin", "thm2.7-phi-inside", "choi", "amgm"):
+        evaluations += tightness_search(ineq_id, budget=120, seed=1, n=2).evaluations
+    assert evaluations == 480
+    assert len(admitted) == evaluations + len(lone)
