@@ -55,11 +55,19 @@ def as_matrix(A) -> np.ndarray:
 
 
 def as_square(A) -> np.ndarray:
-    """as_matrix, also accepting a (T, n, n) stack."""
+    """as_matrix, also accepting a (T, n, n) stack; T may be 0, n may not."""
     M = np.asarray(A, dtype=np.complex128)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     return M
+
+
+def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """as_square of both, which must have the same shape."""
+    MA, MB = as_square(A), as_square(B)
+    if MA.shape != MB.shape:
+        raise DimensionMismatch(f"shapes {MA.shape} and {MB.shape} differ")
+    return MA, MB
 
 
 def identity(n: int) -> np.ndarray:
@@ -70,8 +78,8 @@ def require_hermitian(A) -> np.ndarray:
     """Validate the Hermitian-symmetry invariant, of each matrix of a stack,
     and return the matrix."""
     M = as_square(A)
-    flat = M.shape[:-2] + (-1,)
-    scale = 1.0 + (np.maximum.reduce(abs(M).reshape(flat), axis=-1) if M.size else 0.0)
+    flat = M.shape[:-2] + (M.shape[-1] ** 2,)
+    scale = 1.0 + np.maximum.reduce(abs(M).reshape(flat), axis=-1)
     dev = np.maximum.reduce(abs(M - M.conj().swapaxes(-1, -2)).reshape(flat), axis=-1)
     # written so that a NaN or infinite entry fails it too
     if not (dev <= HERM_TOL * scale).all():
@@ -89,9 +97,7 @@ def hermitize(A) -> np.ndarray:
     symmetric; keeps every intermediate inside the Hermitian invariant.
     A stack of square matrices is projected matrix by matrix.
     """
-    M = np.asarray(A, dtype=np.complex128)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise DimensionMismatch(f"expected square matrices, got shape {M.shape}")
+    M = as_square(A)
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
@@ -200,10 +206,7 @@ def _each(values):
 def loewner_gap(A, B):
     """lambda_min(B - A): nonnegative exactly when A <= B in Loewner order;
     an array of gaps for a stack."""
-    MA = as_square(A)
-    MB = as_square(B)
-    if MA.shape != MB.shape:
-        raise DimensionMismatch(f"shapes {MA.shape} and {MB.shape} differ")
+    MA, MB = as_pair(A, B)
     w, _ = eigh(hermitize(MB - MA))
     return _each(w[..., 0])
 
@@ -216,15 +219,13 @@ def op_norm(A):
 
 
 def spectral_norm(X):
-    """Operator norm of an arbitrary (possibly non-Hermitian) matrix; an
-    array of norms for a stack.
+    """Operator norm of a square, possibly non-Hermitian, matrix; an array
+    of norms for a stack.
 
     Computed as sqrt(lambda_max(X* X)); needed for products like A B of two
     positive matrices, which are not Hermitian.
     """
-    M = np.asarray(X, dtype=np.complex128)
-    if M.ndim not in (2, 3):
-        raise DimensionMismatch(f"expected a matrix, got shape {M.shape}")
+    M = as_square(X)
     w, _ = eigh(hermitize(M.conj().swapaxes(-1, -2) @ M))
     return _each(np.sqrt(np.maximum(w[..., -1], 0.0)))
 

@@ -123,8 +123,8 @@ def _kept(phi: MapSpec) -> np.ndarray:
 
 
 def apply_maps(phis, X) -> np.ndarray:
-    """Each matrix of the stack X under its own map, re-stacked; the maps
-    must share one output dimension.
+    """Each matrix of the (T, n, n) stack X under its own map, re-stacked:
+    one map per matrix, all sharing one output dimension.
 
     The block-diagonal kinds run as one masked copy over their stacked
     masks, the trace averages as one batched trace, and the compressions as
@@ -133,13 +133,18 @@ def apply_maps(phis, X) -> np.ndarray:
     term, added in term order onto zeros, so each result has the bits of
     summing its own terms one at a time."""
     X = np.asarray(X, dtype=np.complex128)
+    if X.ndim != 3 or len(phis) != len(X):
+        raise DimensionMismatch(f"need one map per matrix, got {len(phis)} for shape {X.shape}")
     for phi in phis:
         if phi.n != X.shape[-1]:
             raise DimensionMismatch(f"map expects dimension {phi.n}, matrix has {X.shape[-1]}")
     rows: dict = {}
     for i, phi in enumerate(phis):
         rows.setdefault("masked" if phi.kind in _MASKED else phi.kind, []).append(i)
-    k = phis[0].out_dim
+    dims = {phi.out_dim for phi in phis} or {X.shape[-1]}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"maps with output dimensions {sorted(dims)} cannot share a stack")
+    k = dims.pop()
     out = np.empty((len(phis), k, k), dtype=np.complex128)
     for kind, idx in rows.items():
         if kind == "masked":

@@ -16,16 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadBounds, DimensionMismatch, WeightOutOfRange
-from .linalg import SpectralDecomposition, as_square, eigh, hermitize, matrix_power, per_matrix, rows_of
-
-
-def _check_pair(A, B):
-    MA = as_square(A)
-    MB = as_square(B)
-    if MA.shape != MB.shape:
-        raise DimensionMismatch(f"shapes {MA.shape} and {MB.shape} differ")
-    return MA, MB
+from .errors import BadBounds, WeightOutOfRange
+from .linalg import SpectralDecomposition, as_pair, eigh, hermitize, matrix_power, per_matrix, rows_of
 
 
 def _check_nu(nu):
@@ -40,7 +32,7 @@ def _check_nu(nu):
 
 def arithmetic_mean(A, B, nu) -> np.ndarray:
     """(1 - nu) A + nu B."""
-    MA, MB = _check_pair(A, B)
+    MA, MB = as_pair(A, B)
     nu = _check_nu(nu)
     return per_matrix(1.0 - nu) * MA + per_matrix(nu) * MB
 
@@ -53,7 +45,7 @@ def geometric_mean(A, B, nu, spectrum: Optional[SpectralDecomposition] = None) -
     On stacks nu may hold one weight per matrix; `spectrum` is eigh(A) when
     the caller already has it.
     """
-    MA, MB = _check_pair(A, B)
+    MA, MB = as_pair(A, B)
     nu = _check_nu(nu)
     if spectrum is None:
         spectrum = eigh(MA)
@@ -79,7 +71,7 @@ def bracket_term(A, B, m, M, nu, spectra: Optional[tuple] = None) -> np.ndarray:
     if bad.any():
         raise BadBounds(f"need 0 < m <= M, got m={m[bad][0]}, M={M[bad][0]}")
     nu = _check_nu(nu)
-    MA, MB = _check_pair(A, B)
+    MA, MB = as_pair(A, B)
     out = arithmetic_mean(MA, MB, nu)
     r = np.minimum(nu, 1.0 - nu)
     # rows with r = 0 keep the arithmetic mean; on a single matrix the 0-d

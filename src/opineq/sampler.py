@@ -16,6 +16,11 @@ build; the integer and uniform streams do not.  Child
 seeds derive as ``mix64(parent XOR fnv1a64(label))``, where mix64 is the
 finalizer above applied once and fnv1a64 hashes the label string; this is
 the splitting rule used for per-trial and per-component streams.
+
+Every draw is made on a stack, one stream per row; a single draw is a
+stack of one (haar_unitary of haar_stack, sample_constrained of
+sample_stack, sample_instance of stack_instances), so it has the bits of
+its slice of any stack.
 """
 
 from __future__ import annotations
@@ -66,12 +71,6 @@ class SplitMix64:
         self.state = (self.state + _GOLDEN) & _MASK
         return mix64(self.state)
 
-    def next_block(self, count: int) -> np.ndarray:
-        """`count` calls of next_u64 at once."""
-        z = _mix_rows(self.state, count)
-        self.skip(count)
-        return z
-
     def skip(self, count: int) -> None:
         """Leave the state of `count` next_u64 calls without making them."""
         self.state = (self.state + count * _GOLDEN) & _MASK
@@ -93,15 +92,11 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def gauss(self, count: int) -> np.ndarray:
-        """`count` normals by Box-Muller; an odd count drops a last sine."""
-        return _box_muller(self.next_block(count + count % 2))[:count]
-
 
 def _mix_rows(states, count: int) -> np.ndarray:
     """`count` next_u64 outputs of a SplitMix64 at each state, along the last
     axis: the mix64 finalizer of state + k*GOLDEN, k = 1..count (uint64
-    arrays wrap mod 2^64).  `states` is one int, or a uint64 column."""
+    arrays wrap mod 2^64).  `states` is a uint64 column."""
     z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + states
     z ^= z >> 30
     z *= _MIX1
@@ -138,15 +133,18 @@ def _haar(g: np.ndarray, n: int) -> np.ndarray:
 
 
 def haar_unitary(n: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-distributed unitary from the next 2n^2 normals of `rng`."""
-    return _haar(rng.gauss(2 * n * n), n)
+    """Haar-distributed unitary from the next 2n^2 normals of `rng`: a stack
+    of one."""
+    Q = haar_stack(n, [rng.state])[0]
+    rng.skip(2 * n * n)
+    return Q
 
 
 def haar_stack(n: int, states) -> np.ndarray:
-    """Stack of haar_unitary(n, rng) for SplitMix64 generators at the given
-    states, each slice bit-identical to its single draw; all frames share one
-    finalizer pass and one batched QR."""
-    z = _mix_rows(np.array([[s] for s in states], dtype=np.uint64), 2 * n * n)
+    """Haar unitaries, one per SplitMix64 state, each from the next 2n^2
+    normals of its stream; all frames share one finalizer pass and one
+    batched QR."""
+    z = _mix_rows(np.array(states, dtype=np.uint64)[:, None], 2 * n * n)
     return _haar(_box_muller(z), n)
 
 
@@ -208,9 +206,8 @@ def verify_instance(inst: Instance, slack: float = CONTAINMENT_SLACK) -> float:
     Raises if the violation exceeds `slack`; the verifier refuses to check
     unverified instances.
     """
-    wA, _ = eigh(inst.A)
-    wB, _ = eigh(inst.B)
-    return float(verify_instances([inst], wA[None], wB[None], slack)[0])
+    w, _ = eigh(np.stack([inst.A, inst.B]))
+    return float(verify_instances([inst], w[:1], w[1:], slack)[0])
 
 
 def verify_instances(instances, wA: np.ndarray, wB: np.ndarray,

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .constants import CaseParams, SandwichBounds
@@ -99,11 +99,14 @@ class SuiteConfig:
         for n in self.dims:
             if not isinstance(n, int) or n < 1:
                 raise ConfigInvalid(f"dimensions must be integers >= 1, got {n!r}")
+        ids = self.resolved_ids()
+        for name, values in (("ids", ids), ("dims", self.dims)):
+            if len(set(values)) != len(values):
+                raise ConfigInvalid(f"{name} must not repeat, got {list(values)}")
         for grid_name in ("nu_grid", "p_grid", "alpha_grid"):
             grid = getattr(self, grid_name)
             if grid is not None and len(grid) == 0:
                 raise ConfigInvalid(f"{grid_name} must be nonempty when given")
-        ids = self.resolved_ids()
         for ineq_id in ids:
             get_entry(ineq_id)  # raises UnknownInequality
         for key in self.mutate:
@@ -120,20 +123,13 @@ class SuiteConfig:
                     raise ConfigInvalid(str(exc)) from exc
 
     def hash_payload(self) -> dict:
-        """Everything that determines the report; workers excluded."""
-        return {
-            "ids": list(self.resolved_ids()),
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.tol,
-            "force_endpoints": self.force_endpoints,
-            "fixed_bounds": None if self.fixed_bounds is None else self.fixed_bounds.to_dict(),
-            "nu_grid": None if self.nu_grid is None else list(self.nu_grid),
-            "p_grid": None if self.p_grid is None else list(self.p_grid),
-            "alpha_grid": None if self.alpha_grid is None else list(self.alpha_grid),
-            "mutate": {k: self.mutate[k] for k in sorted(self.mutate)},
-        }
+        """Every field but workers, which never changes the report; ids
+        resolved, fixed_bounds as its dict."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        payload["ids"] = self.resolved_ids()
+        if self.fixed_bounds is not None:
+            payload["fixed_bounds"] = self.fixed_bounds.to_dict()
+        return payload
 
     def config_hash(self) -> str:
         return hashlib.sha256(dumps_canonical(self.hash_payload()).encode()).hexdigest()
@@ -173,14 +169,13 @@ def _case_params(cfg: SuiteConfig, entry: RegistryEntry, trial: int) -> CasePara
     alpha_grid = cfg.alpha_grid if cfg.alpha_grid is not None else ALPHA_GRID
     nu = nu_grid[trial % len(nu_grid)] if entry.nu_mode == "grid" else 0.5
     alpha = alpha_grid[trial % len(alpha_grid)] if entry.needs_alpha else 1.0
-    if cfg.p_grid is not None:
-        p_grid = cfg.p_grid
-        p = p_grid[trial % len(p_grid)]
-    elif entry.p_grid == "2a":
-        p = (2.0 * alpha, 2.0 * alpha + 1.5)[trial % 2]
-    else:
-        p = entry.p_grid[trial % len(entry.p_grid)]
-    return CaseParams(nu=nu, p=p, alpha=alpha)
+    p_grid = cfg.p_grid if cfg.p_grid is not None else _p_grid(entry, alpha)
+    return CaseParams(nu=nu, p=p_grid[trial % len(p_grid)], alpha=alpha)
+
+
+def _p_grid(entry: RegistryEntry, alpha: float) -> tuple[float, ...]:
+    """The entry's powers; the "2a" grid is (2 alpha, 2 alpha + 1.5)."""
+    return (2.0 * alpha, 2.0 * alpha + 1.5) if entry.p_grid == "2a" else entry.p_grid
 
 
 def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[InequalityCase]:
@@ -436,12 +431,6 @@ class _SearchState:
     map_seed: int
 
 
-def _min_p(entry: RegistryEntry, alpha: float) -> float:
-    if entry.p_grid == "2a":
-        return 2.0 * alpha
-    return min(entry.p_grid)
-
-
 def _fresh_state(entry: RegistryEntry, n: int, rng: SplitMix64) -> _SearchState:
     kind = entry.kinds[rng.randint(0, len(entry.kinds) - 1)]
     bounds = _draw_bounds(entry, kind, rng)
@@ -460,7 +449,7 @@ def _fresh_state(entry: RegistryEntry, n: int, rng: SplitMix64) -> _SearchState:
         frameB=rng.next_u64(),
         aligned=bool(rng.next_u64() & 1),
         nu=nu,
-        p=_min_p(entry, alpha),
+        p=min(_p_grid(entry, alpha)),
         alpha=alpha,
         map_kind=MAP_KINDS[rng.randint(0, len(MAP_KINDS) - 1)],
         map_seed=rng.next_u64(),
@@ -496,11 +485,11 @@ def _mutate_state(entry: RegistryEntry, st: _SearchState, n: int, rng: SplitMix6
     elif move == "nu" and entry.nu_mode == "grid":
         st.nu = NU_SPECIALS[rng.randint(0, 4)] if rng.next_u64() & 1 else rng.next_float()
     elif move == "p":
-        lo = _min_p(entry, st.alpha)
+        lo = min(_p_grid(entry, st.alpha))
         st.p = lo if rng.next_u64() & 1 else lo + 1.5 * rng.next_float()
     elif move == "alpha" and entry.needs_alpha:
         st.alpha = rng.uniform(1.0, 2.0)
-        st.p = max(st.p, _min_p(entry, st.alpha))
+        st.p = max(st.p, min(_p_grid(entry, st.alpha)))
     elif move == "map":
         st.map_kind = MAP_KINDS[rng.randint(0, len(MAP_KINDS) - 1)]
         st.map_seed = rng.next_u64()

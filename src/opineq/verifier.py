@@ -629,12 +629,7 @@ def _scaled(X, c: list, rows: list):
     if not any(rows):
         return X
     shape = (-1,) + (1,) * (X.ndim - 1)
-    if all(rows):
-        return np.array(c).reshape(shape) * X
-    rows = np.array(rows)
-    X = X.copy()
-    X[rows] = np.array(c)[rows].reshape(shape) * X[rows]
-    return X
+    return np.where(np.reshape(rows, shape), np.reshape(c, shape) * X, X)
 
 
 def scalar_lemma_gap(x: float, nu: float) -> float:

@@ -80,12 +80,8 @@ def gauss_pair(rng):
 
 
 def gauss(rng, count):
-    """`count` normals, one scalar pair at a time; an odd count draws a whole
-    pair and keeps its first value."""
-    out = []
-    while len(out) < count:
-        out.extend(gauss_pair(rng))
-    return out[:count]
+    """`count` normals, `count` even, one scalar pair at a time."""
+    return [z for _ in range(count // 2) for z in gauss_pair(rng)]
 
 
 def haar_gram_schmidt(n, rng):

@@ -33,6 +33,16 @@ def test_verify_unknown_id_exits_2(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("ineq, n", [("thm3.4,thm3.4", "2"), ("amgm,amgm", "2,2"), ("amgm", "3,3")])
+def test_verify_repeated_ids_or_dims_exit_2(capsys, tmp_path, ineq, n):
+    out_path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "verify", "--ineq", ineq, "--n", n, "--trials", "30",
+                           "--out", str(out_path))
+    assert code == 2
+    assert "must not repeat" in err
+    assert not out_path.exists()
+
+
 def test_verify_passing_run(capsys, tmp_path):
     out_path = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "verify", "--ineq", "amgm,lin", "--n", "2",

@@ -203,6 +203,19 @@ def test_gates_and_gaps_give_one_value_per_matrix():
         loewner_gap(S, P[:3])
 
 
+def test_empty_stacks_give_empty_results_and_empty_matrices_are_rejected():
+    E = np.zeros((0, 3, 3))
+    w, U = eigh(E)
+    assert w.shape == (0, 3) and U.shape == (0, 3, 3)
+    assert matrix_power(E, 0.5).shape == matrix_power(E, [], None).shape == (0, 3, 3)
+    assert op_norm(E).shape == spectral_norm(E).shape == is_psd(E).shape == (0,)
+    assert loewner_gap(E, E).shape == (0,)
+    for call in (eigh, hermitize, op_norm, spectral_norm, is_psd, lambda M: matrix_power(M, 2.0)):
+        for M in (np.zeros((0, 0)), np.zeros((2, 0, 0))):
+            with pytest.raises(DimensionMismatch):
+                call(M)
+
+
 def test_op_norm_and_spectral_norm():
     assert op_norm(np.array([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0, abs=1e-13)
     # non-Hermitian: largest singular value

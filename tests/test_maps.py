@@ -216,3 +216,16 @@ def test_apply_maps_is_apply_map_slice_by_slice(n):
 def test_apply_maps_checks_the_dimension():
     with pytest.raises(DimensionMismatch):
         apply_maps([MapSpec("identity", 3)] * 2, np.zeros((2, 2, 2)))
+
+
+def test_apply_maps_takes_one_map_per_matrix():
+    X = np.stack([np.eye(3)] * 3)
+    for phis, M in (([MapSpec("identity", 3)], X), ([], X), ([MapSpec("identity", 3)], X[0])):
+        with pytest.raises(DimensionMismatch, match="one map per matrix"):
+            apply_maps(phis, M)
+    assert apply_maps([], X[:0]).shape == (0, 3, 3)
+    V = random_map(3, "compression", 5)
+    assert V.out_dim < 3
+    for phis in ([V, MapSpec("identity", 3)], [MapSpec("identity", 3), V]):
+        with pytest.raises(DimensionMismatch, match="output dimensions"):
+            apply_maps(phis, X[:2])

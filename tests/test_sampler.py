@@ -71,28 +71,32 @@ def test_haar_unitary_is_unitary():
         np.testing.assert_allclose(U @ U.conj().T, np.eye(n), atol=1e-12)
 
 
+def _column(states) -> np.ndarray:
+    return np.array(states, dtype=np.uint64)[:, None]
+
+
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 3])
 def test_next_block_is_the_next_u64_stream(seed):
-    """Bit-identical to repeated next_u64, across the 2^64 wrap too, with the
-    same final state."""
+    """The row mixer at one state is bit-identical to repeated next_u64,
+    across the 2^64 wrap too, and skip leaves the same final state."""
     for count in (0, 1, 5):
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
-        out = block.next_block(count)
+        scalar, skipped = SplitMix64(seed), SplitMix64(seed)
+        out = sampler._mix_rows(_column([seed]), count)[0]
         assert out.dtype == np.uint64 and out.shape == (count,)
         assert [int(z) for z in out] == [scalar.next_u64() for _ in range(count)]
-        assert block.state == scalar.state
+        skipped.skip(count)
+        assert skipped.state == scalar.state
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 33])
-def test_gauss_matches_scalar_box_muller(count):
-    """Within 1 ulp of the scalar loop, with the same final state; a zero
-    count gives an empty array and leaves the state alone."""
-    for seed in (0, 3, 2**64 - 3):
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
-        z = rng.gauss(count)
-        assert z.shape == (count,)
-        np.testing.assert_array_max_ulp(z, np.array(oracles.gauss(ref, count)), maxulp=1)
-        assert rng.state == ref.state
+@pytest.mark.parametrize("pairs", [0, 1, 2, 7, 8, 33])
+def test_gauss_matches_scalar_box_muller(pairs):
+    """Box-Muller on each row of the mixer is within 1 ulp of the scalar
+    loop on the same stream; zero pairs give empty rows."""
+    seeds = (0, 3, 2**64 - 3)
+    z = sampler._box_muller(sampler._mix_rows(_column(seeds), 2 * pairs))
+    assert z.shape == (len(seeds), 2 * pairs)
+    for row, seed in zip(z, seeds):
+        np.testing.assert_array_max_ulp(row, np.array(oracles.gauss(SplitMix64(seed), 2 * pairs)), maxulp=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
@@ -119,16 +123,17 @@ def test_sample_constrained_eigenvalues_are_the_uniform_stream():
 
 @pytest.mark.parametrize("count", [0, 1, 5, 34])
 def test_row_mixer_is_next_block_per_state(count):
-    """Row i of the mixer is next_block of a generator at states[i], and the
-    rows of a longer block continue from that generator's end state."""
+    """Row i of the mixer is repeated next_u64 of a generator at states[i],
+    and the rows of a longer block continue from the state skip leaves."""
     states = [0, 42, 2**64 - 3, 2**63 + 1]
-    rows = sampler._mix_rows(np.array(states, dtype=np.uint64)[:, None], 2 * count)
+    rows = sampler._mix_rows(_column(states), 2 * count)
     assert rows.shape == (len(states), 2 * count)
     for row, state in zip(rows, states):
-        rng = SplitMix64(state)
-        np.testing.assert_array_equal(row[:count], rng.next_block(count))
-        assert rng.state == (state + count * 0x9E3779B97F4A7C15) % 2**64
-        np.testing.assert_array_equal(row[count:], rng.next_block(count))
+        rng, skipped = SplitMix64(state), SplitMix64(state)
+        assert [int(z) for z in row] == [rng.next_u64() for _ in range(2 * count)]
+        skipped.skip(count)
+        assert skipped.state == (state + count * 0x9E3779B97F4A7C15) % 2**64
+        np.testing.assert_array_equal(row[count:], sampler._mix_rows(_column([skipped.state]), count)[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
@@ -146,6 +151,8 @@ def test_sample_stack_is_the_single_draws(n, force_endpoints):
         if a == b:
             np.testing.assert_array_equal(X, a * np.eye(n))
     assert sampler.sample_stack(n, [], [], [], force_endpoints).shape == (0, n, n)
+    assert sampler.haar_stack(n, []).shape == (0, n, n)
+    assert sampler.build_from_spectra(np.zeros((0, n)), []).shape == (0, n, n)
 
 
 def test_sample_constrained_containment():

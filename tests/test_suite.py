@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,9 +56,24 @@ def test_workers_do_not_change_output():
 def test_config_hash_tracks_content_not_workers():
     base = small_config()
     assert base.config_hash() == small_config(workers=5).config_hash()
-    assert base.config_hash() != small_config(seed=10).config_hash()
-    assert base.config_hash() != small_config(trials=5).config_hash()
-    assert base.config_hash() != small_config(mutate={"lin": 0.9}).config_hash()
+    assert SuiteConfig().config_hash() == SuiteConfig(ids=verifier.registry_ids()).config_hash()
+    # one change per field: a field the hash misses fails here
+    changed = {
+        "ids": ("amgm", "lin"),
+        "dims": (2,),
+        "trials": 5,
+        "seed": 10,
+        "tol": 1e-8,
+        "force_endpoints": True,
+        "fixed_bounds": SandwichBounds.common(1.0, 2.0),
+        "nu_grid": (0.3,),
+        "p_grid": (2.0,),
+        "alpha_grid": (1.5,),
+        "mutate": {"lin": 0.9},
+    }
+    assert set(changed) == {f.name for f in fields(SuiteConfig)} - {"workers"}
+    for name, value in changed.items():
+        assert small_config(**{name: value}).config_hash() != base.config_hash(), name
 
 
 def test_report_schema():
@@ -102,6 +117,17 @@ def test_mutation_only_touches_target_id():
     assert by_id["lin"]["failures"] > 0
     assert by_id["amgm"]["failures"] == 0
     assert by_id["thm2.4-phi-inside"]["failures"] == 0
+
+
+@pytest.mark.parametrize("repeated", [
+    dict(ids=("lin", "amgm", "lin")),
+    dict(dims=(2, 3, 2)),
+    dict(ids=("amgm", "amgm"), dims=(2, 2)),
+])
+def test_config_rejects_repeated_ids_and_dims(repeated):
+    """A repeated id or dimension would check each of its draws twice."""
+    with pytest.raises(ConfigInvalid, match="must not repeat"):
+        run_suite(small_config(**repeated))
 
 
 def test_config_validation_errors():
