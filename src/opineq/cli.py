@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from dataclasses import asdict
 
 from .constants import CaseParams, SandwichBounds
@@ -25,18 +26,17 @@ from .verifier import DEFAULT_TOL, compare_constants, get_entry, registry_ids
 SELFTEST_REPORT = "opineq-selftest.json"
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _list_of(kind, name: str):
+    """An argparse type for a comma-separated list of kind(...) values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {name} list: {text!r}")
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+_float_list, _int_list = _list_of(float, "float"), _list_of(int, "integer")
 
 
 def _id_list(text: str) -> tuple[str, ...]:
@@ -53,6 +53,17 @@ def _add_bounds_flags(p: argparse.ArgumentParser):
     g.add_argument("--M1", type=float, help="sqrt-scale upper bound of A")
     g.add_argument("--m2", type=float, help="sqrt-scale lower bound of B")
     g.add_argument("--M2", type=float, help="sqrt-scale upper bound of B")
+
+
+def _add_suite_flags(p: argparse.ArgumentParser, trials: int, out: str | None):
+    """The flags selftest and verify share, with their trials and out defaults."""
+    p.add_argument("--n", type=_int_list, default=DEFAULT_DIMS, metavar="LIST")
+    p.add_argument("--trials", type=int, default=trials, help="cases per (id, n) pair")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", default=out)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _bounds_from_args(args, ids=()) -> SandwichBounds | None:
@@ -177,46 +188,27 @@ def _cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ids = registry_ids()
-    lines = ["registry ids:"]
-    row = "  "
-    for ineq_id in ids:
-        if len(row) + len(ineq_id) > 76:
-            lines.append(row.rstrip(", "))
-            row = "  "
-        row += ineq_id + ", "
-    lines.append(row.rstrip(", "))
+    ids = textwrap.fill(", ".join(registry_ids()), width=78, initial_indent="  ",
+                        subsequent_indent="  ", break_on_hyphens=False)
     parser = argparse.ArgumentParser(
         prog="opineq",
         description="Numerical verification of reverse operator-mean inequalities.",
-        epilog="\n".join(lines),
+        epilog="registry ids:\n" + ids,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     st = sub.add_parser("selftest", help="run the built-in full-registry suite")
-    st.add_argument("--seed", type=int, default=42)
-    st.add_argument("--trials", type=int, default=100, help="cases per (id, n) pair")
-    st.add_argument("--n", type=_int_list, default=DEFAULT_DIMS, metavar="LIST")
-    st.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    st.add_argument("--workers", type=int, default=1)
-    st.add_argument("--out", default=SELFTEST_REPORT)
-    st.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_suite_flags(st, trials=100, out=SELFTEST_REPORT)
     st.set_defaults(fn=_cmd_selftest)
 
     vf = sub.add_parser("verify", help="run a suite over chosen inequalities")
     vf.add_argument("--ineq", type=_id_list, required=True, metavar="ID[,ID...]")
-    vf.add_argument("--n", type=_int_list, default=DEFAULT_DIMS, metavar="LIST")
-    vf.add_argument("--trials", type=int, default=10)
-    vf.add_argument("--seed", type=int, default=42)
+    _add_suite_flags(vf, trials=10, out=None)
     vf.add_argument("--nu", type=_float_list, default=None, metavar="LIST")
     vf.add_argument("--p", type=_float_list, default=None, metavar="LIST")
     vf.add_argument("--alpha", type=_float_list, default=None, metavar="LIST")
-    vf.add_argument("--tol", type=float, default=DEFAULT_TOL)
     vf.add_argument("--force-endpoints", action="store_true")
-    vf.add_argument("--workers", type=int, default=1)
-    vf.add_argument("--out", default=None)
-    vf.add_argument("--format", choices=("json", "csv"), default="json")
     _add_bounds_flags(vf)
     vf.set_defaults(fn=_cmd_verify)
 

@@ -46,6 +46,7 @@ from .verifier import (
     registry_ids,
     require_hypothesis,
     scalar_lemma_gap,
+    stack_key,
     stack_rows,
 )
 
@@ -107,6 +108,8 @@ class SuiteConfig:
             grid = getattr(self, grid_name)
             if grid is not None and len(grid) == 0:
                 raise ConfigInvalid(f"{grid_name} must be nonempty when given")
+            for value in grid or ():
+                CaseParams(**{grid_name.removesuffix("_grid"): value})  # raises on a value out of range
         for ineq_id in ids:
             get_entry(ineq_id)  # raises UnknownInequality
         for key in self.mutate:
@@ -165,12 +168,14 @@ def _draw_bounds(entry: RegistryEntry, kind: str, rng: SplitMix64) -> SandwichBo
 
 
 def _case_params(cfg: SuiteConfig, entry: RegistryEntry, trial: int) -> CaseParams:
+    """The trial's value from each grid, whether or not the entry reads it:
+    verifier.admit, not the suite, resolves a weight the entry fixes and an
+    alpha it does not read."""
     nu_grid = cfg.nu_grid if cfg.nu_grid is not None else NU_GRID
     alpha_grid = cfg.alpha_grid if cfg.alpha_grid is not None else ALPHA_GRID
-    nu = nu_grid[trial % len(nu_grid)] if entry.nu_mode == "grid" else 0.5
-    alpha = alpha_grid[trial % len(alpha_grid)] if entry.needs_alpha else 1.0
+    alpha = alpha_grid[trial % len(alpha_grid)]
     p_grid = cfg.p_grid if cfg.p_grid is not None else _p_grid(entry, alpha)
-    return CaseParams(nu=nu, p=p_grid[trial % len(p_grid)], alpha=alpha)
+    return CaseParams(nu=nu_grid[trial % len(nu_grid)], p=p_grid[trial % len(p_grid)], alpha=alpha)
 
 
 def _p_grid(entry: RegistryEntry, alpha: float) -> tuple[float, ...]:
@@ -195,9 +200,10 @@ def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[Inequal
         n, [MAP_KINDS[t % len(MAP_KINDS)] for t in range(cfg.trials)],
         [derive_seed(s, "map") for s in seeds],
     ) if entry.uses_phi else [None] * cfg.trials
+    scale = cfg.mutate.get(entry.ineq_id, 1.0)
     return [
         InequalityCase(ineq_id=entry.ineq_id, instance=instance, phi=phi,
-                       params=_case_params(cfg, entry, t))
+                       params=_case_params(cfg, entry, t), scale=scale)
         for t, (instance, phi) in enumerate(zip(instances, phis))
     ]
 
@@ -210,7 +216,7 @@ def _groups(cfg: SuiteConfig) -> list[tuple[tuple[str, int], ...]]:
     for ineq_id in cfg.resolved_ids():
         entry = get_entry(ineq_id)
         for n in cfg.dims:
-            groups.setdefault((entry.sides, entry.outside, n), []).append((ineq_id, n))
+            groups.setdefault(stack_key(entry, n), []).append((ineq_id, n))
     return [tuple(blocks) for blocks in groups.values()]
 
 
@@ -229,10 +235,8 @@ def _run_group(cfg: SuiteConfig, blocks: tuple[tuple[str, int], ...]) -> list[di
 
 
 def _check_pending(cfg: SuiteConfig, pending: list) -> list[dict]:
-    cases = [case for _, _, _, case in pending]
-    scales = [cfg.mutate.get(ineq_id, 1.0) for ineq_id, _, _, _ in pending]
     try:
-        verdicts = check_block(cases, cfg.tol, scales)
+        verdicts = check_block([case for _, _, _, case in pending], cfg.tol)
     except OpineqError:
         _raise_first_failure(cfg, pending)
         raise
@@ -262,7 +266,7 @@ def _raise_first_failure(cfg: SuiteConfig, pending: list) -> None:
     its own class, naming its id, n and trial."""
     for ineq_id, n, trial, case in pending:
         try:
-            check_case(case, cfg.tol, cfg.mutate.get(ineq_id, 1.0))
+            check_case(case, cfg.tol)
         except OpineqError as exc:
             message = str(exc).removeprefix(f"{ineq_id}: ")
             raise type(exc)(f"{ineq_id}, n = {n}, trial {trial}: {message}") from exc

@@ -216,15 +216,22 @@ def _lemma23(x):
     return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
+def _mapped_mean(x):
+    """Phi(A #_nu B)."""
+    return _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+
+
+def _mean_of_maps(x):
+    """Phi(A) #_nu Phi(B)."""
+    return geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
+
+
 def _map_domination(x):
-    lhs = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
-    rhs = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
-    return "loewner", lhs, rhs
+    return "loewner", _mapped_mean(x), _mean_of_maps(x)
 
 
 def _reverse_domination(x):
-    lhs = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
-    return "loewner", lhs, _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+    return "loewner", _mean_of_maps(x), _mapped_mean(x)
 
 
 def _outer(x):
@@ -241,10 +248,7 @@ def _norm_refinement(x):
 
 def _reverse_power(x, left):
     """Phi^p(left) against (mean block)^p, the mean block taken in the entry's form."""
-    if x.outside:
-        mean = geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
-    else:
-        mean = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
+    mean = _mean_of_maps(x) if x.outside else _mapped_mean(x)
     # both blocks raised to p as one stack
     blocks = np.stack([_phi(x, left), mean])
     p = np.tile(x.p, 2)
@@ -424,10 +428,15 @@ def bound_constant(ineq_id: str, bounds: SandwichBounds, params: CaseParams) -> 
 
 @dataclass(frozen=True)
 class InequalityCase:
+    """One inequality on one instance.  scale multiplies the row's constant,
+    on whichever side it sits: the suite's mutation hook, which breaks an
+    inequality on purpose to prove the checker notices."""
+
     ineq_id: str
     instance: Instance
     phi: MapSpec
     params: CaseParams
+    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -447,14 +456,10 @@ class Verdict:
     confirmed: Optional[bool] = None
 
 
-def check_case(
-    case: InequalityCase,
-    tol: float = DEFAULT_TOL,
-    constant_scale: float = 1.0,
-) -> Verdict:
+def check_case(case: InequalityCase, tol: float = DEFAULT_TOL) -> Verdict:
     """Evaluate one inequality on one instance, as a stack of one case
     (see check_block)."""
-    return _check_stack([admit(case, constant_scale)], tol)[0]
+    return _check_stack([admit(case)], tol)[0]
 
 
 def stack_rows(n: int) -> int:
@@ -462,22 +467,23 @@ def stack_rows(n: int) -> int:
     return max(1, STACK_BYTES // (16 * n * n))
 
 
+def stack_key(entry: RegistryEntry, n: int) -> tuple:
+    """The stack a case of dimension n joins: its entry's sides function and
+    form, and n (check_rows adds the map's output dimension)."""
+    return entry.sides, entry.outside, n
+
+
 class _Row(NamedTuple):
-    """One case past the per-case gates: its entry, resolved weight and
-    constant, and the scale the constant carries."""
+    """One case past the per-case gates: its entry, resolved parameters and
+    scaled constant."""
 
     case: InequalityCase
     entry: RegistryEntry
-    nu: float
+    params: CaseParams
     c: float
-    scale: float
 
 
-def check_block(
-    cases,
-    tol: float = DEFAULT_TOL,
-    constant_scales=None,
-) -> list[Verdict]:
+def check_block(cases, tol: float = DEFAULT_TOL) -> list[Verdict]:
     """Evaluate many cases, one verdict per case in order.
 
     Cases whose sides are computed by the same code (the same `sides`
@@ -502,15 +508,8 @@ def check_block(
     that value is below -tol * (1 + ||rhs||) by more than the rounding
     allowance CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with
     CERT_ROUNDING = 16 and n the dimension.
-
-    constant_scales holds a factor per case applied to the row's constant,
-    on whichever side the constant sits; it exists so the suite can
-    deliberately break an inequality and prove the checker notices
-    (mutation sensitivity).
     """
-    cases = list(cases)
-    scales = [1.0] * len(cases) if constant_scales is None else list(constant_scales)
-    return check_rows([admit(case, scale) for case, scale in zip(cases, scales)], tol)
+    return check_rows([admit(case) for case in cases], tol)
 
 
 def check_rows(rows, tol: float = DEFAULT_TOL) -> list[Verdict]:
@@ -518,41 +517,42 @@ def check_rows(rows, tol: float = DEFAULT_TOL) -> list[Verdict]:
     order, the rows grouped and stacked as check_block describes."""
     groups: dict = {}
     for i, row in enumerate(rows):
-        case = row.case
-        key = (row.entry.sides, row.entry.outside, case.instance.n,
-               None if case.phi is None else case.phi.out_dim)
+        phi = row.case.phi
+        key = stack_key(row.entry, row.case.instance.n) + (None if phi is None else phi.out_dim,)
         groups.setdefault(key, []).append(i)
     verdicts: list = [None] * len(rows)
-    for (_, _, n, _), members in groups.items():
-        size = stack_rows(n)
+    for members in groups.values():
+        size = stack_rows(rows[members[0]].case.instance.n)
         for lo in range(0, len(members), size):
             chunk = members[lo:lo + size]
             if len(chunk) == 1:
                 # a lone case goes through check_case: perfbench's verifier.accept_ratio divides by its calls
-                row = rows[chunk[0]]
-                verdicts[chunk[0]] = check_case(row.case, tol, row.scale)
+                verdicts[chunk[0]] = check_case(rows[chunk[0]].case, tol)
                 continue
             for i, verdict in zip(chunk, _check_stack([rows[i] for i in chunk], tol)):
                 verdicts[i] = verdict
     return verdicts
 
 
-def admit(case: InequalityCase, scale: float = 1.0) -> _Row:
+def admit(case: InequalityCase) -> _Row:
     """The per-case gates check_block runs before any stack: the hypothesis,
     a finite constant, a map of the instance's dimension where the entry
     needs one.  Raises the first gate's error, else returns the case's row
-    for check_rows."""
+    for check_rows.  It is the one place a case's parameters are resolved,
+    for the constant, the sides and the echo: a weight the entry fixes reads
+    1/2 and an alpha it does not read reads 1."""
     entry = get_entry(case.ineq_id)
     prm = case.params
-    nu = prm.nu if entry.nu_mode == "grid" else 0.5
-    c = _constant(entry, case.instance.bounds, CaseParams(nu=nu, p=prm.p, alpha=prm.alpha)) * scale
+    params = CaseParams(nu=prm.nu if entry.nu_mode == "grid" else 0.5, p=prm.p,
+                        alpha=prm.alpha if entry.needs_alpha else 1.0)
+    c = _constant(entry, case.instance.bounds, params) * case.scale
     if entry.uses_phi and case.phi is None:
         raise HypothesisNotMet(f"{entry.ineq_id} needs a positive linear map, got none")
     if case.phi is not None and case.phi.n != case.instance.n:
         raise HypothesisNotMet(
             f"map dimension {case.phi.n} does not match instance dimension {case.instance.n}"
         )
-    return _Row(case, entry, nu, c, scale)
+    return _Row(case, entry, params, c)
 
 
 def _check_stack(rows: list, tol: float) -> list[Verdict]:
@@ -560,9 +560,9 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
     evaluated as one (T, n, n) stack."""
     sides, outside = rows[0].entry.sides, rows[0].entry.outside
     insts = [row.case.instance for row in rows]
-    prm = [row.case.params for row in rows]
+    prm = [row.params for row in rows]
     A, B = np.stack([inst.A for inst in insts]), np.stack([inst.B for inst in insts])
-    nu = np.array([row.nu for row in rows])
+    nu = np.array([q.nu for q in prm])
     p, alpha = np.array([q.p for q in prm]), np.array([q.alpha for q in prm])
     sA, sB = eigh(A), eigh(B)
     verify_instances(insts, sA[0], sB[0])
@@ -581,7 +581,7 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
         finite = np.isfinite(lhs).all(axis=axes) & np.isfinite(rhs).all(axis=axes)
         row = rows[int(np.argmin(finite))]
         raise ConfigInvalid(
-            f"{row.entry.ineq_id}: a side overflows at p = {row.case.params.p:g}, "
+            f"{row.entry.ineq_id}: a side overflows at p = {row.params.p:g}, "
             f"bounds {row.case.instance.bounds.to_dict()}"
         )
     if kind == "norm":
@@ -612,11 +612,8 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
                 certified = float(np.vdot(x, D[i] @ x).real / np.vdot(x, x).real)
             allowance = CERT_ROUNDING * inst.n * np.finfo(float).eps * (ln + rn)
             confirmed = bool(certified < -tol * (1.0 + rn) - allowance)
-        q = row.case.params
         echo = {
-            "nu": row.nu,
-            "p": q.p,
-            "alpha": q.alpha,
+            **row.params.to_dict(),
             "map": phi.describe() if phi is not None else "none",
             "bounds": inst.bounds.to_dict(),
         }

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from opineq.cli import main
+from opineq.verifier import registry_ids
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,26 @@ def test_verify_repeated_ids_or_dims_exit_2(capsys, tmp_path, ineq, n):
                            "--out", str(out_path))
     assert code == 2
     assert "must not repeat" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("ineq, grid", [
+    ("lin", ("--nu", "1.5")),
+    ("lin", ("--alpha", "7")),
+    ("amgm", ("--nu", "1.5")),
+    ("lin", ("--nu", "0.3,1.5", "--trials", "1")),
+    ("lin,amgm", ("--alpha", "7", "--workers", "2")),
+    ("lin", ("--nu", "1.5", "--m", "1", "--M", "4")),
+])
+def test_verify_out_of_range_grid_value_exits_2(capsys, tmp_path, ineq, grid):
+    """A grid value outside its range is a configuration error for every
+    entry, whether or not the entry reads that parameter and whether or not
+    a trial reaches it."""
+    out_path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "verify", "--ineq", ineq, "--n", "2", "--trials", "2",
+                           *grid, "--out", str(out_path))
+    assert code == 2
+    assert "must be in" in err
     assert not out_path.exists()
 
 
@@ -173,6 +194,11 @@ def test_help_lists_registry_ids(capsys):
     out = capsys.readouterr().out
     for ineq_id in ("amgm", "thm2.4-phi-inside", "thm3.4", "lee-printed"):
         assert ineq_id in out
+    # a wrapped line keeps its comma, so no line reads as the end of the list
+    listed = out.split("registry ids:")[1].split()
+    assert [word.rstrip(",") for word in listed] == list(registry_ids())
+    assert all(word.endswith(",") for word in listed[:-1])
+    assert not listed[-1].endswith(",")
 
 
 def test_selftest_tiny_run(capsys, tmp_path):

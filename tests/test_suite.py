@@ -419,13 +419,13 @@ def test_search_admits_each_candidate_once(monkeypatch):
     admitted, lone = [], []
     real_admit, real_check_case = verifier.admit, verifier.check_case
 
-    def admit_spy(case, scale=1.0):
+    def admit_spy(case):
         admitted.append(case.ineq_id)
-        return real_admit(case, scale)
+        return real_admit(case)
 
-    def check_case_spy(case, tol=verifier.DEFAULT_TOL, constant_scale=1.0):
+    def check_case_spy(case, tol=verifier.DEFAULT_TOL):
         lone.append(case.ineq_id)
-        return real_check_case(case, tol, constant_scale)
+        return real_check_case(case, tol)
 
     monkeypatch.setattr(verifier, "admit", admit_spy)
     monkeypatch.setattr(suite, "admit", admit_spy)

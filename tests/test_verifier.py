@@ -1,6 +1,7 @@
 """Registry structure, per-case checking, scalar oracles, comparisons."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_non_finite_entry_is_an_error_not_a_failure():
 def test_mutation_hook_flips_verdict():
     case = make_case("amgm", 4.0 * I2, I2, SandwichBounds.common(1.0, 4.0), nu=0.5)
     assert check_case(case).holds
-    v = check_case(case, constant_scale=0.5)  # RHS 2.5 < LHS 2
+    v = check_case(replace(case, scale=0.5))  # RHS 2.5 < LHS 2
     assert not v.holds
     assert v.gap < 0
     # the scale multiplies the row's constant, which thm3.3 places on the left:
@@ -175,8 +176,8 @@ def test_mutation_hook_flips_verdict():
     mean_case = make_case("thm3.3-hprime", 3.0 * I2, 2.0 * I2,
                           SandwichBounds.sandwich_B_low(1.0, 2.0, 3.0, 4.0), nu=0.5)
     assert check_case(mean_case).holds
-    assert check_case(mean_case, constant_scale=0.5).holds
-    v = check_case(mean_case, constant_scale=2.0)
+    assert check_case(replace(mean_case, scale=0.5)).holds
+    v = check_case(replace(mean_case, scale=2.0))
     assert not v.holds
     assert v.gap < 0
 
@@ -220,13 +221,36 @@ def test_failing_verdict_is_confirmed_only_past_rounding():
     allowance, True on a genuine one, for Loewner and norm entries alike."""
     case = make_case("amgm", I2, I2, SandwichBounds.common(1.0, 4.0), nu=0.5)
     assert check_case(case).confirmed is None
-    noise = check_case(case, tol=0.0, constant_scale=1.0 - 1e-15)
+    noise = check_case(replace(case, scale=1.0 - 1e-15), tol=0.0)
     assert not noise.holds
     assert noise.confirmed is False
-    assert check_case(case, tol=0.0, constant_scale=0.5).confirmed is True
+    assert check_case(replace(case, scale=0.5), tol=0.0).confirmed is True
     norm_case = make_case("lemma2.2-i", I2, I2, SandwichBounds.common(1.0, 4.0))
-    assert check_case(norm_case, tol=0.0, constant_scale=1.0 - 1e-15).confirmed is False
-    assert check_case(norm_case, constant_scale=0.5).confirmed is True
+    assert check_case(replace(norm_case, scale=1.0 - 1e-15), tol=0.0).confirmed is False
+    assert check_case(replace(norm_case, scale=0.5)).confirmed is True
+
+
+def test_admit_resolves_what_a_row_reads():
+    """A weight the entry fixes reads 1/2 and an alpha it does not read
+    reads 1, in the verdict and its echo alike; entries that read alpha
+    (and a free weight) get the values they were given."""
+    common = SandwichBounds.common(1.0, 4.0)
+    inst = sample_instance(common, 2, 3)
+    phi = MapSpec("identity", 2)
+    given = check_case(InequalityCase("lin", inst, phi, CaseParams(nu=0.3, alpha=1.7)))
+    resolved = check_case(InequalityCase("lin", inst, phi, CaseParams(nu=0.5, alpha=1.0)))
+    assert given.gap.hex() == resolved.gap.hex()
+    assert given.relative_gap.hex() == resolved.relative_gap.hex()
+    assert given.params["nu"] == 0.5 and given.params["alpha"] == 1.0
+    assert given == resolved
+    sandwich = SandwichBounds.sandwich_B_low(1.0, 1.5, 3.0, 4.0)
+    for ineq_id, bounds, p, echo_nu in (("thm2.10-phi-inside", sandwich, 4.0, 0.3),
+                                        ("lemma2.2-ii", common, 1.0, 0.5)):
+        case = InequalityCase(ineq_id, sample_instance(bounds, 2, 5), phi,
+                              CaseParams(nu=0.3, p=p, alpha=1.7))
+        v = check_case(case)
+        assert (v.params["alpha"], v.params["nu"]) == (1.7, echo_nu), ineq_id
+        assert v.gap != check_case(replace(case, params=CaseParams(nu=0.3, p=p))).gap, ineq_id
 
 
 def test_printed_outer_ratio_variant_fails_where_inner_holds():
@@ -364,10 +388,10 @@ def test_check_block_is_check_case_row_by_row(n):
     assert {c.params.p for c in cases} >= {0.5, 2.0}
     assert any(get_entry(c.ineq_id).sides is verifier._reverse_bracket
                and 0.0 < c.params.nu < 1.0 for c in cases)
-    scales = [1.0 + 0.01 * (i % 3) for i in range(len(cases))]
-    stacked = check_block(cases, constant_scales=scales)
-    for case, scale, got in zip(cases, scales, stacked):
-        alone = check_case(case, constant_scale=scale)
+    cases = [replace(case, scale=1.0 + 0.01 * (i % 3)) for i, case in enumerate(cases)]
+    stacked = check_block(cases)
+    for case, got in zip(cases, stacked):
+        alone = check_case(case)
         assert got.gap.hex() == alone.gap.hex(), case.ineq_id
         assert got.relative_gap.hex() == alone.relative_gap.hex(), case.ineq_id
         assert (got.holds, got.confirmed) == (alone.holds, alone.confirmed), case.ineq_id
@@ -432,9 +456,9 @@ def test_check_block_sends_a_group_of_one_through_check_case(monkeypatch):
     seen = []
     real = verifier.check_case
 
-    def spy(case, tol=verifier.DEFAULT_TOL, constant_scale=1.0):
+    def spy(case, tol=verifier.DEFAULT_TOL):
         seen.append(case.ineq_id)
-        return real(case, tol, constant_scale)
+        return real(case, tol)
 
     monkeypatch.setattr(verifier, "check_case", spy)
     verdicts = check_block([pair[0], lone, pair[1]])
