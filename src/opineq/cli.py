@@ -12,6 +12,7 @@ failed (the report is still written), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import textwrap
 from dataclasses import asdict
@@ -243,9 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parsing leaves it as it was, so main builds it
+    once and reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except OpineqError as exc:

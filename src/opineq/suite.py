@@ -9,10 +9,12 @@ tightness_search drives the relative gap of one inequality toward zero
 from above by random-restart coordinate moves over everything the
 hypothesis leaves free: eigenvalue placements inside their intervals,
 eigenvector frames (including aligning the two frames so the pair
-commutes), the bounds themselves, the map, and the exponents.  Each step
-proposes a batch of SEARCH_BATCH candidates, builds their matrices and maps
-as stacks, passes each through verifier.admit once and checks the admitted
-ones as one check_rows call, and moves to the best.
+commutes), the bounds themselves, the map, and the exponents.  Each restart
+segment is a lane with its own stream, and the lanes climb in lockstep: a
+step proposes SEARCH_BATCH candidates in each of as many live lanes as fill
+one stack, builds their new matrices and maps as stacks, passes each
+through verifier.admit once, checks the admitted ones as one check_rows
+call, and moves each lane to its best.
 """
 
 from __future__ import annotations
@@ -354,7 +356,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 NU_SPECIALS = (0.0, 0.25, 0.5, 0.75, 1.0)
-SEARCH_BATCH = 16  # candidates a search step proposes and checks as one check_rows call
+SEARCH_BATCH = 16  # candidates a search lane proposes per step
 
 
 @dataclass(frozen=True)
@@ -379,7 +381,7 @@ class SearchRecord:
     confirmed: Optional[bool] = None
 
 
-def _search_scalar_lemma(budget: int, seed: int, nu: Optional[float]) -> SearchRecord:
+def _search_scalar_lemma(budget: int, seed: int, nu: Optional[float], tol: float) -> SearchRecord:
     rng = SplitMix64(derive_seed(seed, "scalar-lemma"))
     best = math.inf
     best_params: dict = {}
@@ -402,7 +404,7 @@ def _search_scalar_lemma(budget: int, seed: int, nu: Optional[float]) -> SearchR
         evaluations=evals,
         best_gap=best,
         best_relative_gap=best,
-        holds=best >= -DEFAULT_TOL,
+        holds=best >= -tol,
         params=best_params,
     )
 
@@ -500,12 +502,18 @@ def _mutate_state(entry: RegistryEntry, st: _SearchState, n: int, rng: SplitMix6
     return st
 
 
+def _operand_keys(entry: RegistryEntry, st: _SearchState) -> tuple:
+    """The keys of a state's operands: (spectrum, frame seed) for A and for B,
+    and (kind, seed) for its map when the entry reads one.  A matrix key and
+    a map key never collide."""
+    keys = (st.lamA, st.frameA), (st.lamB, st.frameA if st.aligned else st.frameB)
+    return keys + ((st.map_kind, st.map_seed),) if entry.uses_phi else keys
+
+
 def _built(operands: dict, keys: list, build) -> list:
-    """The operand of each key: taken from `operands` when the search built
-    it since the last restart, else built; all new ones come from one
-    build(*columns) call over the new keys' columns.  Keys are (spectrum,
-    frame seed) for matrices and (kind, seed) for maps, so they never
-    collide."""
+    """The operand of each key: taken from `operands` when it holds the key,
+    else built; all new ones come from one build(*columns) call over the new
+    keys' columns, and are added to `operands`."""
     new = [key for key in dict.fromkeys(keys) if key not in operands]
     if new:
         operands.update(zip(new, build(*zip(*new))))
@@ -517,10 +525,9 @@ def _check_batch(entry: RegistryEntry, batch: list, n: int, tol: float, operands
     rejects.  verifier.admit screens each candidate once, and the rows it
     admits are checked as one check_rows call."""
     size = len(batch)
-    pairs = _built(operands, [(st.lamA, st.frameA) for st in batch]
-                   + [(st.lamB, st.frameA if st.aligned else st.frameB) for st in batch],
-                   build_from_spectra)
-    phis = _built(operands, [(st.map_kind, st.map_seed) for st in batch],
+    keys = [_operand_keys(entry, st) for st in batch]
+    pairs = _built(operands, [k[0] for k in keys] + [k[1] for k in keys], build_from_spectra)
+    phis = _built(operands, [k[2] for k in keys],
                   lambda kinds, seeds: random_maps(n, kinds, seeds)) if entry.uses_phi else [None] * size
     rows, admitted = [], []
     for i, st in enumerate(batch):
@@ -541,6 +548,64 @@ def _check_batch(entry: RegistryEntry, batch: list, n: int, tol: float, operands
     return verdicts
 
 
+@dataclass
+class _Lane:
+    """One restart segment of a search: its own stream, its share of the
+    budget, and the hill-climb's walk inside it."""
+
+    index: int
+    rng: SplitMix64
+    budget: int
+    evals: int = 0
+    steps: int = 0
+    state: Optional[_SearchState] = None
+    current_val: float = math.inf
+
+    def propose(self, entry: RegistryEntry, n: int, nu: Optional[float]) -> list:
+        """The step's candidates: fresh states after a restart, mutations of
+        the current state otherwise; never past the lane's budget."""
+        size = min(SEARCH_BATCH, self.budget - self.evals)
+        batch = [
+            _fresh_state(entry, n, self.rng) if self.state is None
+            else _mutate_state(entry, self.state, n, self.rng)
+            for _ in range(size)
+        ]
+        if nu is not None:
+            for candidate in batch:
+                candidate.nu = nu
+        self.evals += size
+        return batch
+
+    def move(self, batch: list, verdicts: list, tol: float) -> Optional[tuple]:
+        """Climb to the batch's lowest relative gap (the first proposed on a
+        tie) and return that pick as (verdict, lane, step, position), or None
+        when the hypothesis rejected the whole batch."""
+        step = self.steps
+        self.steps += 1
+        scored = [(v.relative_gap, i) for i, v in enumerate(verdicts) if v is not None]
+        if not scored:
+            return None
+        _, pick = min(scored)
+        verdict = verdicts[pick]
+        # hill-climb on the relative gap; rare uphill accepts escape plateaus
+        if verdict.relative_gap <= self.current_val or self.rng.next_float() < 0.1:
+            self.state = batch[pick]
+            self.current_val = verdict.relative_gap
+            # a gap within tol of zero is a tight case (often an identity, as
+            # at nu in {0, 1}): its sign is rounding noise, so do not climb on
+            if abs(self.current_val) <= tol:
+                self.state, self.current_val = None, math.inf
+        return verdict, self.index, step, pick
+
+
+def _rank(pick: tuple) -> tuple:
+    """The order of a search's picks: the lowest relative gap first, then on
+    a tie the lowest lane, that lane's earliest step, the first proposed.
+    No part of it depends on which lanes stepped together."""
+    verdict, lane, step, position = pick
+    return verdict.relative_gap, lane, step, position
+
+
 def tightness_search(
     ineq_id: str,
     budget: int = 2000,
@@ -555,17 +620,25 @@ def tightness_search(
     (x, nu) instead of operator instances; pass nu to pin the weight, which
     only an entry with a free weight (or the scalar lemma) accepts.
 
-    Each step proposes SEARCH_BATCH candidates, fresh states after a restart
-    and mutations of the current state otherwise; verifier.admit screens
-    each once, and the ones it admits are checked as one check_rows call.
-    The batch's lowest relative gap (the first on a tie) is the step's move.
-    A candidate its hypothesis rejects still counts as an evaluation, and a
-    batch never straddles a restart or the end of the budget, so
-    `evaluations` equals the budget.
+    The budget is split into restart segments of max(50, budget // 8)
+    evaluations, the last one shorter, and each segment is a lane: a walk
+    from fresh states with its own stream, derive_seed(seed, "search",
+    ineq_id, n, k) for lane k.  Each lane step proposes SEARCH_BATCH
+    candidates, fresh states after the lane's restart and mutations of its
+    current state otherwise, and moves to the lowest relative gap (the first
+    proposed on a tie) under the hill-climb's rules.  A step checks the
+    candidates of as many live lanes as fill one stack, max(1, stack_rows(n)
+    // SEARCH_BATCH) of them: verifier.admit screens each candidate once,
+    and the ones it admits are checked as one check_rows call.  A candidate
+    its hypothesis rejects still counts as an evaluation, and no lane steps
+    past its share, so `evaluations` equals the budget.  The best pick is
+    the least under _rank, so the record does not depend on how many lanes
+    step together.
 
-    Most mutations move one coordinate, so the search keeps the matrices
-    and maps it built since the last restart and reuses them; both builders
-    are pure functions of their arguments, so reuse changes no result.
+    Most mutations move one coordinate, so between steps the search keeps
+    each lane's current matrices and maps, and only those, to reuse them;
+    both builders are pure functions of their arguments, so reuse changes no
+    result.
     """
     if budget < 1:
         raise ConfigInvalid(f"budget must be >= 1, got {budget}")
@@ -573,58 +646,39 @@ def tightness_search(
         raise ConfigInvalid(f"n must be an integer >= 1, got {n!r}")
     _require_tol(tol)
     if ineq_id == "scalar-lemma":
-        return _search_scalar_lemma(budget, seed, nu)
+        return _search_scalar_lemma(budget, seed, nu, tol)
     entry = get_entry(ineq_id)
     if nu is not None and entry.nu_mode != "grid":
         raise ConfigInvalid(
             f"{ineq_id} does not leave its weight free (nu_mode {entry.nu_mode!r}); nu cannot be set"
         )
-    rng = SplitMix64(derive_seed(seed, "search", ineq_id, n))
     restart_every = max(50, budget // 8)
-    best_val = math.inf
-    best_verdict = None
-    state = None
-    current_val = math.inf
+    lanes = [
+        _Lane(k, SplitMix64(derive_seed(seed, "search", ineq_id, n, k)), min(restart_every, budget - lo))
+        for k, lo in enumerate(range(0, budget, restart_every))
+    ]
+    width = max(1, stack_rows(n) // SEARCH_BATCH)
     operands: dict = {}
-    evals = 0
-    while evals < budget:
-        if evals % restart_every == 0:
-            state = None
-        if state is None:
-            operands.clear()
-            current_val = math.inf
-        size = min(SEARCH_BATCH, budget - evals, restart_every - evals % restart_every)
-        batch = [
-            _fresh_state(entry, n, rng) if state is None else _mutate_state(entry, state, n, rng)
-            for _ in range(size)
-        ]
-        if nu is not None:
-            for candidate in batch:
-                candidate.nu = nu
-        verdicts = _check_batch(entry, batch, n, tol, operands)
-        evals += size
-        scored = [(v.relative_gap, i) for i, v in enumerate(verdicts) if v is not None]
-        if not scored:
-            continue
-        _, pick = min(scored)  # a tie goes to the first proposed
-        verdict = verdicts[pick]
-        # hill-climb on the relative gap; rare uphill accepts escape plateaus
-        if verdict.relative_gap <= current_val or rng.next_float() < 0.1:
-            state = batch[pick]
-            current_val = verdict.relative_gap
-            # a gap within tol of zero is a tight case (often an identity, as
-            # at nu in {0, 1}): its sign is rounding noise, so do not climb on
-            if abs(current_val) <= tol:
-                state = None
-        if verdict.relative_gap < best_val:
-            best_val = verdict.relative_gap
-            best_verdict = verdict
+    best = None
+    while live := [lane for lane in lanes if lane.evals < lane.budget]:
+        stepping = live[:width]
+        batches = [lane.propose(entry, n, nu) for lane in stepping]
+        verdicts = _check_batch(entry, [st for batch in batches for st in batch], n, tol, operands)
+        start = 0
+        for lane, batch in zip(stepping, batches):
+            pick = lane.move(batch, verdicts[start:start + len(batch)], tol)
+            start += len(batch)
+            if pick is not None and (best is None or _rank(pick) < _rank(best)):
+                best = pick
+        kept = {key for lane in live if lane.state is not None for key in _operand_keys(entry, lane.state)}
+        operands = {key: operands[key] for key in kept}
+    verdict = best[0] if best is not None else None
     return SearchRecord(
         ineq_id=ineq_id,
-        evaluations=evals,
-        best_gap=best_verdict.gap if best_verdict is not None else math.inf,
-        best_relative_gap=best_val,
-        holds=bool(best_val >= -tol),
-        params=best_verdict.params if best_verdict is not None else {},
-        confirmed=best_verdict.confirmed if best_verdict is not None else None,
+        evaluations=sum(lane.evals for lane in lanes),
+        best_gap=verdict.gap if verdict is not None else math.inf,
+        best_relative_gap=verdict.relative_gap if verdict is not None else math.inf,
+        holds=verdict is None or bool(verdict.relative_gap >= -tol),
+        params=verdict.params if verdict is not None else {},
+        confirmed=verdict.confirmed if verdict is not None else None,
     )

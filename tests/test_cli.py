@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from opineq import cli
 from opineq.cli import main
 from opineq.verifier import registry_ids
 
@@ -214,3 +219,42 @@ def test_selftest_tiny_run(capsys, tmp_path):
     assert bad_ids <= {"thm3.4", "lee-printed", "thm3.3", "lh-p2-demo",
                        "thm2.9-proof-phi-inside", "thm2.9-proof-phi-outside"}
     assert code == (1 if "thm3.4" in bad_ids else 0)
+
+
+REUSE_CALLS = (
+    ("verify", "--ineq", "lin", "--nu", "1.5"),
+    ("--help",),
+    ("search", "--ineq", "thm3.4", "--budget", "120", "--seed", "1", "--out", "search-1.json"),
+    ("search", "--ineq", "thm2.7-phi-outside", "--budget", "60", "--seed", "2"),
+    ("selftest", "--trials", "1"),
+)
+
+
+def _fresh_process(argv, cwd):
+    """Exit code, stdout, stderr and written files of argv run first in a
+    new process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "opineq.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr, {p.name: p.read_bytes() for p in cwd.iterdir()}
+
+
+def test_main_reuses_its_parser(capsys, monkeypatch, tmp_path):
+    """main builds its parser once per process; each call in a row of
+    different commands gives what it gives first in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for k, argv in enumerate(REUSE_CALLS):
+        here, fresh = tmp_path / f"here-{k}", tmp_path / f"fresh-{k}"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in here.iterdir()}
+        assert (code, captured.out, captured.err, written) == _fresh_process(argv, fresh), argv
+    assert cli._parser.cache_info().misses <= 1

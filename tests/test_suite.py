@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +266,15 @@ def test_search_scalar_lemma_free_weight():
     assert rec.best_gap <= 1e-6
 
 
+def test_search_scalar_lemma_honours_tol():
+    """At tol = 0 a negative scalar slack, rounding noise included, does not
+    hold, as on the operator entries."""
+    rec = tightness_search("scalar-lemma", budget=300, seed=1, tol=0.0)
+    assert rec.best_gap < 0.0
+    assert not rec.holds
+    assert tightness_search("scalar-lemma", budget=300, seed=1).holds
+
+
 def test_search_sound_statement_stays_nonnegative():
     rec = tightness_search("thm2.4-phi-inside", budget=300, seed=1)
     assert rec.holds
@@ -340,13 +350,34 @@ def test_search_decomposes_each_distinct_matrix_once(monkeypatch):
     assert 0 < len(calls) <= 830
 
 
-@pytest.mark.parametrize("budget", [1, 2, 15, 16, 17, 49, 50, 51, 120, 121])
+@pytest.mark.parametrize("budget", [1, 2, 15, 16, 17, 49, 50, 51, 120, 121, 400, 2000])
 def test_search_evaluations_equal_budget(budget):
-    """Batches never straddle a restart or the end of the budget, and a
-    candidate the hypothesis rejects still counts (lin rejects every p
-    move off p = 1)."""
+    """No lane steps past its share of the budget, and a candidate the
+    hypothesis rejects still counts (lin rejects every p move off p = 1)."""
     for ineq_id in ("lin", "thm3.4", "amgm"):
         assert tightness_search(ineq_id, budget=budget, seed=3, n=2).evaluations == budget
+
+
+@pytest.mark.parametrize("budget", [120, 400])
+@pytest.mark.parametrize("ineq_id", ["thm3.4", "thm2.7-phi-outside", "lin", "choi"])
+def test_search_record_does_not_depend_on_lanes_per_step(monkeypatch, ineq_id, budget):
+    """A stack that fits one lane's batch makes the lanes step one at a time;
+    the record is the one the lanes give stepping together."""
+    lockstep = tightness_search(ineq_id, budget=budget, seed=2, n=2)
+    monkeypatch.setattr(verifier, "STACK_BYTES", 16 * 2 * 2 * suite.SEARCH_BATCH)
+    assert verifier.stack_rows(2) // suite.SEARCH_BATCH == 1
+    one_at_a_time = tightness_search(ineq_id, budget=budget, seed=2, n=2)
+    assert one_at_a_time == lockstep
+    assert one_at_a_time.best_gap.hex() == lockstep.best_gap.hex()
+    assert one_at_a_time.best_relative_gap.hex() == lockstep.best_relative_gap.hex()
+
+
+def test_search_best_pick_tie_order():
+    """The best pick is the lowest relative gap; on a tie, the lowest lane,
+    then that lane's earliest step, then the first proposed."""
+    picks = [(-0.5, 2, 0, 3), (-0.5, 1, 4, 0), (-0.5, 1, 3, 9), (-0.5, 1, 3, 7), (-0.4, 0, 0, 0)]
+    ranked = sorted(picks, key=lambda p: suite._rank((SimpleNamespace(relative_gap=p[0]), *p[1:])))
+    assert ranked == [(-0.5, 1, 3, 7), (-0.5, 1, 3, 9), (-0.5, 1, 4, 0), (-0.5, 2, 0, 3), (-0.4, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("ineq_id", ["lin", "thm2.7-phi-outside", "choi", "lemma2.2-i"])
