@@ -3,7 +3,9 @@
 run_suite turns a SuiteConfig into a Report deterministically: every case
 is constructed from seeds derived by name from the master seed, so the
 report depends only on the configuration (the worker count splits the
-computation but never enters a seed or the config hash).
+computation but never enters a seed or the config hash).  Its unit is the
+chunk, up to stack_rows(n) cases of one verifier.stack_key: drawn as one
+stack, checked by one check_block call, and one task under --workers.
 
 tightness_search drives the relative gap of one inequality toward zero
 from above by random-restart coordinate moves over everything the
@@ -61,6 +63,13 @@ def _require_tol(tol: float) -> None:
         raise ConfigInvalid(f"tol must be finite and >= 0, got {tol}")
 
 
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigInvalid(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Everything that determines a suite run (and hence its report).
@@ -70,7 +79,7 @@ class SuiteConfig:
     parameter grids; fixed_bounds replaces the per-case bounds draw.
     mutate maps registry ids to factors applied to the row's constant —
     a deliberate fault injection used to prove the checker notices.
-    workers parallelizes the run without affecting the output.
+    workers runs chunks in parallel without affecting the output.
     """
 
     ids: Optional[tuple[str, ...]] = None
@@ -92,18 +101,16 @@ class SuiteConfig:
         return tuple(self.ids)
 
     def validate(self) -> None:
-        if self.trials < 0:
-            raise ConfigInvalid(f"trials must be >= 0, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigInvalid(f"workers must be >= 1, got {self.workers}")
+        _require_int("trials", self.trials, 0)
+        _require_int("workers", self.workers, 1)
+        _require_int("seed", self.seed)
         _require_tol(self.tol)
-        if not self.dims:
-            raise ConfigInvalid("dims must be nonempty")
         for n in self.dims:
-            if not isinstance(n, int) or n < 1:
-                raise ConfigInvalid(f"dimensions must be integers >= 1, got {n!r}")
+            _require_int("dimensions", n, 1)
         ids = self.resolved_ids()
         for name, values in (("ids", ids), ("dims", self.dims)):
+            if not values:
+                raise ConfigInvalid(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ConfigInvalid(f"{name} must not repeat, got {list(values)}")
         for grid_name in ("nu_grid", "p_grid", "alpha_grid"):
@@ -185,65 +192,57 @@ def _p_grid(entry: RegistryEntry, alpha: float) -> tuple[float, ...]:
     return (2.0 * alpha, 2.0 * alpha + 1.5) if entry.p_grid == "2a" else entry.p_grid
 
 
-def _block_cases(cfg: SuiteConfig, entry: RegistryEntry, n: int) -> list[InequalityCase]:
-    """The block's cases in trial order, their instances and their maps'
-    frames each drawn as one stack.  They are not verified here: check_block
-    verifies each before checking it."""
-    seeds = [derive_seed(cfg.seed, entry.ineq_id, n, t) for t in range(cfg.trials)]
-    bounds = [
-        cfg.fixed_bounds if cfg.fixed_bounds is not None else _draw_bounds(
-            entry, entry.kinds[t % len(entry.kinds)], SplitMix64(derive_seed(s, "bounds")))
-        for t, s in enumerate(seeds)
-    ]
-    instances = stack_instances(
-        bounds, n, [derive_seed(s, "instance") for s in seeds], cfg.force_endpoints
-    )
-    phis = random_maps(
-        n, [MAP_KINDS[t % len(MAP_KINDS)] for t in range(cfg.trials)],
-        [derive_seed(s, "map") for s in seeds],
-    ) if entry.uses_phi else [None] * cfg.trials
-    scale = cfg.mutate.get(entry.ineq_id, 1.0)
-    return [
-        InequalityCase(ineq_id=entry.ineq_id, instance=instance, phi=phi,
-                       params=_case_params(cfg, entry, t), scale=scale)
-        for t, (instance, phi) in enumerate(zip(instances, phis))
-    ]
-
-
-def _groups(cfg: SuiteConfig) -> list[tuple[tuple[str, int], ...]]:
-    """The (id, n) blocks grouped by the code that computes their sides: the
-    entry's sides function and form, and n.  Each group is checked as stacks
-    and is one task under --workers."""
+def _chunks(cfg: SuiteConfig) -> list[tuple[int, list[tuple[str, int]]]]:
+    """The run's chunks (n, [(id, trial), ...]): the cases of each stack_key
+    group, in id and trial order, cut into runs of stack_rows(n)."""
     groups: dict = {}
     for ineq_id in cfg.resolved_ids():
         entry = get_entry(ineq_id)
         for n in cfg.dims:
-            groups.setdefault(stack_key(entry, n), []).append((ineq_id, n))
-    return [tuple(blocks) for blocks in groups.values()]
+            groups.setdefault(stack_key(entry, n), []).extend((ineq_id, t) for t in range(cfg.trials))
+    return [
+        (n, cases[lo:lo + stack_rows(n)])
+        for (_, _, n), cases in groups.items()
+        for lo in range(0, len(cases), stack_rows(n))
+    ]
 
 
-def _run_group(cfg: SuiteConfig, blocks: tuple[tuple[str, int], ...]) -> list[dict]:
-    """Report rows of a group's blocks.  Blocks are drawn one at a time and
-    checked once about a stack's worth of cases is pending, so a group holds
-    at most one stack plus one block of instances."""
-    out, pending = [], []
-    for ineq_id, n in blocks:
-        cases = _block_cases(cfg, get_entry(ineq_id), n)
-        pending += [(ineq_id, n, trial, case) for trial, case in enumerate(cases)]
-        if len(pending) >= stack_rows(n):
-            out += _check_pending(cfg, pending)
-            pending = []
-    return out + _check_pending(cfg, pending)
+def _draw_chunk(cfg: SuiteConfig, n: int, cases: list[tuple[str, int]]) -> list[InequalityCase]:
+    """The chunk's cases in order, not yet verified (check_block verifies
+    each).  Case (id, trial) takes every draw from derive_seed(cfg.seed, id,
+    n, trial); the chunk makes one stack_instances call, and one random_maps
+    call for the cases whose entry reads a map."""
+    entries = [get_entry(ineq_id) for ineq_id, _ in cases]
+    seeds = [derive_seed(cfg.seed, ineq_id, n, t) for ineq_id, t in cases]
+    bounds = [
+        cfg.fixed_bounds if cfg.fixed_bounds is not None else _draw_bounds(
+            entry, entry.kinds[t % len(entry.kinds)], SplitMix64(derive_seed(s, "bounds")))
+        for entry, (_, t), s in zip(entries, cases, seeds)
+    ]
+    instances = stack_instances(
+        bounds, n, [derive_seed(s, "instance") for s in seeds], cfg.force_endpoints
+    )
+    mapped = [i for i, entry in enumerate(entries) if entry.uses_phi]
+    phis = dict(zip(mapped, random_maps(n, [MAP_KINDS[cases[i][1] % len(MAP_KINDS)] for i in mapped],
+                                        [derive_seed(seeds[i], "map") for i in mapped])))
+    return [
+        InequalityCase(ineq_id=entry.ineq_id, instance=instance, phi=phis.get(i),
+                       params=_case_params(cfg, entry, t), scale=cfg.mutate.get(entry.ineq_id, 1.0))
+        for i, (entry, (_, t), instance) in enumerate(zip(entries, cases, instances))
+    ]
 
 
-def _check_pending(cfg: SuiteConfig, pending: list) -> list[dict]:
+def _run_chunk(cfg: SuiteConfig, chunk: tuple[int, list[tuple[str, int]]]) -> list[dict]:
+    """The chunk's report rows: drawn by _draw_chunk, checked by check_block."""
+    n, cases = chunk
+    drawn = _draw_chunk(cfg, n, cases)
     try:
-        verdicts = check_block([case for _, _, _, case in pending], cfg.tol)
+        verdicts = check_block(drawn, cfg.tol)
     except OpineqError:
-        _raise_first_failure(cfg, pending)
+        _raise_first_failure(cfg, n, cases, drawn)
         raise
     out = []
-    for (ineq_id, n, trial, case), verdict in zip(pending, verdicts):
+    for (ineq_id, trial), case, verdict in zip(cases, drawn, verdicts):
         row = {
             "id": ineq_id,
             "seed": case.instance.seed,
@@ -263,10 +262,10 @@ def _check_pending(cfg: SuiteConfig, pending: list) -> list[dict]:
     return out
 
 
-def _raise_first_failure(cfg: SuiteConfig, pending: list) -> None:
+def _raise_first_failure(cfg: SuiteConfig, n: int, cases: list, drawn: list) -> None:
     """Re-check the cases one at a time and raise the first one's error, of
     its own class, naming its id, n and trial."""
-    for ineq_id, n, trial, case in pending:
+    for (ineq_id, trial), case in zip(cases, drawn):
         try:
             check_case(case, cfg.tol)
         except OpineqError as exc:
@@ -316,22 +315,22 @@ class Report:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Execute the configured suite and aggregate a deterministic report."""
     cfg.validate()
-    ids = cfg.resolved_ids()
-    groups = _groups(cfg)
-    if cfg.workers > 1 and len(groups) > 1:
+    chunks = _chunks(cfg)
+    if cfg.workers > 1 and len(chunks) > 1:
         serial_cfg = replace(cfg, workers=1)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_group, itertools.repeat(serial_cfg), groups, chunksize=1))
+            results = list(pool.map(_run_chunk, itertools.repeat(serial_cfg), chunks, chunksize=1))
     else:
-        results = [_run_group(cfg, g) for g in groups]
-    cases = [row for block in results for row in block]
+        results = [_run_chunk(cfg, chunk) for chunk in chunks]
+    cases = [row for rows in results for row in rows]
     cases.sort(key=lambda row: (row["id"], row["n"], row["trial"]))
+    by_id: dict = {ineq_id: [] for ineq_id in sorted(cfg.resolved_ids())}
     for row in cases:
         del row["trial"]
+        by_id[row["id"]].append(row)
     summary = []
     asserted_failures = 0
-    for ineq_id in sorted(ids):
-        rows = [row for row in cases if row["id"] == ineq_id]
+    for ineq_id, rows in by_id.items():
         failures = sum(1 for row in rows if not row["holds"])
         if failures and get_entry(ineq_id).asserted:
             asserted_failures += failures
@@ -640,10 +639,9 @@ def tightness_search(
     both builders are pure functions of their arguments, so reuse changes no
     result.
     """
-    if budget < 1:
-        raise ConfigInvalid(f"budget must be >= 1, got {budget}")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigInvalid(f"n must be an integer >= 1, got {n!r}")
+    _require_int("budget", budget, 1)
+    _require_int("seed", seed)
+    _require_int("n", n, 1)
     _require_tol(tol)
     if ineq_id == "scalar-lemma":
         return _search_scalar_lemma(budget, seed, nu, tol)

@@ -39,6 +39,17 @@ def test_verify_unknown_id_exits_2(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("ineq", [",", " "])
+def test_verify_empty_id_list_exits_2(capsys, tmp_path, ineq):
+    """An --ineq list with no id would check nothing; it is bad input."""
+    out_path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "verify", "--ineq", ineq, "--n", "2", "--trials", "2",
+                           "--out", str(out_path))
+    assert code == 2
+    assert "ids must be nonempty" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("ineq, n", [("thm3.4,thm3.4", "2"), ("amgm,amgm", "2,2"), ("amgm", "3,3")])
 def test_verify_repeated_ids_or_dims_exit_2(capsys, tmp_path, ineq, n):
     out_path = tmp_path / "r.json"

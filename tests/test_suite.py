@@ -12,12 +12,13 @@ from opineq import maps, sampler, suite, verifier
 from opineq.cli import main
 from opineq.constants import CaseParams, SandwichBounds
 from opineq.errors import ConfigInvalid, HypothesisNotMet, OpineqError, UnknownInequality
+from opineq.io import dumps_canonical, map_to_obj
 from opineq.sampler import SplitMix64, derive_seed, sample_constrained, sample_instance
 from opineq.suite import (
     Report,
     SuiteConfig,
-    _block_cases,
     _draw_bounds,
+    _draw_chunk,
     run_suite,
     tightness_search,
 )
@@ -138,6 +139,10 @@ def test_config_validation_errors():
         run_suite(small_config(workers=0))
     with pytest.raises(ConfigInvalid):
         run_suite(small_config(dims=()))
+    # a bool would run as 0 or 1 but hash as true or false
+    for bad in (dict(trials=2.0), dict(trials=True), dict(workers=2.0), dict(seed=1.5), dict(seed="1")):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            run_suite(small_config(**bad))
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigInvalid, match="tol"):
             run_suite(small_config(tol=tol))
@@ -164,14 +169,15 @@ def test_fixed_bounds_flow_through():
 
 @pytest.mark.parametrize("force_endpoints", [False, True])
 def test_block_instances_are_sample_instance_and_verified_once(monkeypatch, force_endpoints):
-    """The block's stacked draw gives, trial by trial, the instance that
-    sample_instance draws for the trial's bounds and instance seed; and a
-    suite run verifies each case's containment exactly once."""
+    """A chunk's stacked draw gives, case by case, the instance that
+    sample_instance draws for the case's bounds and instance seed (and, in
+    a chunk that mixes ids, the map random_map draws at the case's seed);
+    and a suite run verifies each case's containment exactly once."""
     cfg = small_config(ids=("thm2.7-phi-inside", "seo", "amgm"), force_endpoints=force_endpoints)
     for ineq_id in cfg.ids:
         entry = get_entry(ineq_id)
         for n in cfg.dims:
-            for trial, case in enumerate(_block_cases(cfg, entry, n)):
+            for trial, case in enumerate(_draw_chunk(cfg, n, [(ineq_id, t) for t in range(cfg.trials)])):
                 case_seed = derive_seed(cfg.seed, ineq_id, n, trial)
                 bounds = _draw_bounds(entry, entry.kinds[trial % len(entry.kinds)],
                                       SplitMix64(derive_seed(case_seed, "bounds")))
@@ -187,6 +193,25 @@ def test_block_instances_are_sample_instance_and_verified_once(monkeypatch, forc
                                                 force_endpoints)
                     np.testing.assert_array_equal(X, single)
 
+    # one chunk that mixes ids, with and without maps, out of id and trial order
+    n = 3
+    chunk = [("amgm", 1), ("thm2.7-phi-inside", 0), ("seo", 3), ("amgm", 0), ("thm2.7-phi-inside", 2)]
+    for (ineq_id, trial), case in zip(chunk, _draw_chunk(cfg, n, chunk)):
+        entry = get_entry(ineq_id)
+        case_seed = derive_seed(cfg.seed, ineq_id, n, trial)
+        bounds = _draw_bounds(entry, entry.kinds[trial % len(entry.kinds)],
+                              SplitMix64(derive_seed(case_seed, "bounds")))
+        ref = sample_instance(bounds, n, derive_seed(case_seed, "instance"), force_endpoints)
+        assert (case.ineq_id, case.instance.bounds, case.instance.seed) == (ineq_id, bounds, ref.seed)
+        np.testing.assert_array_equal(case.instance.A, ref.A)
+        np.testing.assert_array_equal(case.instance.B, ref.B)
+        if entry.uses_phi:
+            ref_phi = maps.random_map(n, maps.MAP_KINDS[trial % len(maps.MAP_KINDS)],
+                                      derive_seed(case_seed, "map"))
+            assert dumps_canonical(map_to_obj(case.phi)) == dumps_canonical(map_to_obj(ref_phi))
+        else:
+            assert case.phi is None
+
     seen = []
     real = sampler.verify_instances
 
@@ -201,8 +226,28 @@ def test_block_instances_are_sample_instance_and_verified_once(monkeypatch, forc
     assert len(seen) == len(report.cases) == 3 * 2 * 4
 
 
+def test_groups_that_span_several_chunks_give_the_same_report(monkeypatch):
+    """With stacks of 5 cases at n = 3 (11 at n = 2), a group of three ids
+    and 7 trials is cut into chunks that mix ids and end mid-block; the
+    report is byte-identical to the one-stack run, serially and with two
+    workers."""
+    cfg = SuiteConfig(ids=("thm2.4-phi-inside", "amgm", "thm2.7-phi-inside", "thm2.10-phi-inside"),
+                      dims=(2, 3), trials=7, seed=5)
+    whole = run_suite(cfg).to_json()
+    assert len(suite._chunks(cfg)) == 4
+    monkeypatch.setattr(verifier, "STACK_BYTES", 16 * 3 * 3 * 5)
+    assert (verifier.stack_rows(3), verifier.stack_rows(2)) == (5, 11)
+    chunks = suite._chunks(cfg)
+    assert [(n, len(cases)) for n, cases in chunks] == [
+        (2, 11), (2, 10), (3, 5), (3, 5), (3, 5), (3, 5), (3, 1), (2, 7), (3, 5), (3, 2)]
+    assert len({ineq_id for ineq_id, _ in chunks[1][1]}) == 2
+    assert run_suite(cfg).to_json() == whole
+    assert run_suite(replace(cfg, workers=2)).to_json() == whole
+
+
 def _escape_at(monkeypatch, trial):
-    """Make every block's instance at `trial` escape its hypothesis interval."""
+    """Make every chunk's instance at index `trial` escape its hypothesis
+    interval (the trial of that number where a chunk holds one block)."""
     real = suite.stack_instances
 
     def escaping(bounds, n, seeds, force_endpoints=False):
@@ -240,7 +285,7 @@ def test_stack_error_of_two_failing_cases_is_the_earlier_case(monkeypatch):
     spectrum, as checking them one at a time does."""
     cfg = SuiteConfig(ids=("thm1.1-phi-inside",), dims=(2,), trials=4, p_grid=(2.0, 2.0, 2.0, 300.0))
     _escape_at(monkeypatch, 1)
-    cases = suite._block_cases(cfg, get_entry("thm1.1-phi-inside"), 2)
+    cases = _draw_chunk(cfg, 2, [("thm1.1-phi-inside", t) for t in range(cfg.trials)])
     with pytest.raises(ConfigInvalid, match="constant is not finite at p = 300"):
         verifier.check_block(cases)
     with pytest.raises(OpineqError, match=r"^thm1.1-phi-inside, n = 2, trial 1: instance spectrum"):
@@ -316,6 +361,60 @@ def test_search_rejects_bad_budget():
         tightness_search("amgm", budget=0, seed=0)
     with pytest.raises(UnknownInequality):
         tightness_search("nosuch", budget=10, seed=0)
+    for bad in (dict(budget=2.5), dict(budget=120.0), dict(seed=0.5)):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            tightness_search("amgm", **bad)
+
+
+def _forced_move(move, seed):
+    """A stream whose first move draw picks `move`; later draws are seed's."""
+    class Forced(SplitMix64):
+        def randint(self, lo, hi):
+            if (lo, hi) == (0, len(suite._MOVES) - 1):
+                return suite._MOVES.index(move)
+            return super().randint(lo, hi)
+    return Forced(seed)
+
+
+def test_search_alpha_move_keeps_alpha_in_range_and_p_at_least_2alpha():
+    """The alpha move redraws alpha in [1, 2] and lifts p to 2 alpha where
+    it fell below, so thm2.10's hypothesis p >= 2 alpha still holds."""
+    entry = get_entry("thm2.10-phi-inside")
+    moved = 0
+    for seed in range(40):
+        st = suite._fresh_state(entry, 2, SplitMix64(derive_seed(seed, "fresh")))
+        if seed % 2:
+            st = replace(st, p=st.p + 1.0)
+        new = suite._mutate_state(entry, st, 2, _forced_move("alpha", seed))
+        assert 1.0 <= new.alpha <= 2.0
+        assert new.p >= 2.0 * new.alpha
+        assert new.p == max(st.p, 2.0 * new.alpha)
+        assert replace(new, alpha=st.alpha, p=st.p) == st
+        moved += new.alpha != st.alpha
+    assert moved == 40
+
+
+def test_search_alpha_move_leaves_entry_without_alpha_unchanged():
+    entry = get_entry("lin")
+    assert not entry.needs_alpha
+    st = suite._fresh_state(entry, 2, SplitMix64(3))
+    rng = _forced_move("alpha", 3)
+    assert suite._mutate_state(entry, st, 2, rng) == st
+    assert rng.state == SplitMix64(3).state
+
+
+def test_search_lane_move_on_an_all_rejected_batch():
+    """A batch the hypothesis rejects whole moves nothing and picks nothing,
+    but counts as a step of the lane."""
+    entry = get_entry("thm2.7-phi-inside")
+    lane = suite._Lane(0, SplitMix64(7), budget=50)
+    lane.state = suite._fresh_state(entry, 2, SplitMix64(8))
+    lane.current_val, lane.steps = 0.25, 3
+    state, rng_state = lane.state, lane.rng.state
+    batch = [suite._mutate_state(entry, state, 2, SplitMix64(i)) for i in range(4)]
+    assert lane.move(batch, [None] * len(batch), 1e-9) is None
+    assert lane.steps == 4
+    assert (lane.state, lane.current_val, lane.rng.state) == (state, 0.25, rng_state)
 
 
 def test_search_rejects_bad_dimension_and_tol():

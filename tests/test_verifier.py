@@ -355,12 +355,11 @@ def test_norm_form_entries_report_scalars():
 
 def test_every_entry_checks_one_sampled_case():
     """Each registry entry accepts a case built the way the suite builds them."""
-    from opineq.suite import SuiteConfig, _block_cases
+    from opineq.suite import SuiteConfig, _draw_chunk
 
     cfg = SuiteConfig(trials=1, seed=123)
     for ineq_id in registry_ids():
-        entry = get_entry(ineq_id)
-        (case,) = _block_cases(cfg, entry, 3)
+        (case,) = _draw_chunk(cfg, 3, [(ineq_id, 0)])
         v = check_case(case)
         assert np.isfinite(v.gap), ineq_id
         assert np.isfinite(v.relative_gap), ineq_id
@@ -369,11 +368,11 @@ def test_every_entry_checks_one_sampled_case():
 def _mixed_group(n):
     """Cases of every registry id at dimension n, as the suite builds them,
     over weights that include the nu in {0, 1} shortcut."""
-    from opineq.suite import SuiteConfig, _block_cases
+    from opineq.suite import SuiteConfig, _draw_chunk
 
     cfg = SuiteConfig(trials=18, seed=77, nu_grid=(0.0, 0.3, 1.0, 0.5, 0.75))
     return [case for ineq_id in registry_ids()
-            for case in _block_cases(cfg, get_entry(ineq_id), n)]
+            for case in _draw_chunk(cfg, n, [(ineq_id, t) for t in range(cfg.trials)])]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -479,10 +478,10 @@ def test_reverse_power_stack_takes_five_lapack_calls(monkeypatch):
     """A stack of reverse AM-GM rows decomposes A, B, the mean's inner
     matrix, both blocks (raised to p as one stack) and D with both sides
     (one stack that also gives the norms): five LAPACK calls."""
-    from opineq.suite import SuiteConfig, _block_cases
+    from opineq.suite import SuiteConfig, _draw_chunk
 
-    cases = [case for case in _block_cases(SuiteConfig(trials=12, seed=3), get_entry("thm1.1-phi-inside"), 3)
-             if case.phi.out_dim == 3]
+    chunk = [("thm1.1-phi-inside", t) for t in range(12)]
+    cases = [case for case in _draw_chunk(SuiteConfig(trials=12, seed=3), 3, chunk) if case.phi.out_dim == 3]
     assert len(cases) >= 4 and {c.params.p for c in cases} == {2.0, 3.5}
     calls = []
     lapack = np.linalg.eigh
