@@ -107,8 +107,12 @@ def _bounds_from_args(args, ids=()) -> SandwichBounds | None:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # an --out that cannot be written is bad input, not a failed check
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -9,6 +9,7 @@ optional (default all-zero); rectangular payloads carry explicit "rows" /
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -18,9 +19,55 @@ from .maps import MapSpec
 from .sampler import Instance
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    The bytes of json.dumps(obj, sort_keys=True, indent=1, separators=(",",
+    ": ")) + "\\n", written directly, since an indent makes the json module
+    fall back to its pure-Python encoder.  Strings go through json's own
+    escaper and floats through float.__repr__ (NaN and the infinities as
+    json spells them); anything but a str, float, int, bool, None, list,
+    tuple or string-keyed dict is json.dumps's text.  A container that
+    holds itself raises RecursionError, where json.dumps raises ValueError.
+    """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(obj, nl: str) -> str:
+    """obj's JSON text; nl is the newline and indent obj sits at."""
+    cls = type(obj)
+    if cls is float:
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if cls is str:
+        return encode_basestring_ascii(obj)
+    if cls is dict and obj:
+        inner = nl + " "
+        items = []
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                return _json_text(obj, nl)
+            items.append(encode_basestring_ascii(key) + ": " + _text(value, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (cls is list or cls is tuple) and obj:
+        inner = nl + " "
+        return "[" + inner + ("," + inner).join([_text(item, inner) for item in obj]) + nl + "]"
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is bool or obj is None:
+        return _CONSTANTS[obj]
+    return _json_text(obj, nl)
+
+
+def _json_text(obj, nl: str) -> str:
+    """json.dumps's text for the empty containers, keys that are not
+    strings and subclasses, re-indented: a newline inside a string is
+    escaped, so every newline is layout."""
+    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")).replace("\n", nl)
 
 
 def _grid(values: np.ndarray) -> list:

@@ -78,9 +78,15 @@ def require_hermitian(A) -> np.ndarray:
     """Validate the Hermitian-symmetry invariant, of each matrix of a stack,
     and return the matrix."""
     M = as_square(A)
+    # most matrices come out of hermitize or compose exactly Hermitian, so
+    # their deviation is 0 and the test below cannot fail; NaN fails M == M*
+    # and takes the full test, as do infinite entries
+    if (M == M.conj().swapaxes(-1, -2)).all() and np.isfinite(M).all():
+        return M
     flat = M.shape[:-2] + (M.shape[-1] ** 2,)
     scale = 1.0 + np.maximum.reduce(abs(M).reshape(flat), axis=-1)
-    dev = np.maximum.reduce(abs(M - M.conj().swapaxes(-1, -2)).reshape(flat), axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        dev = np.maximum.reduce(abs(M - M.conj().swapaxes(-1, -2)).reshape(flat), axis=-1)
     # written so that a NaN or infinite entry fails it too
     if not (dev <= HERM_TOL * scale).all():
         raise NonHermitianInput(
@@ -123,64 +129,70 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
     needs no decomposition.
 
     On a stack, t is one exponent for every matrix or an array of one per
-    matrix.  `spectrum` is eigh(A) when the caller already has it.
+    matrix; either way the powers are one pass over the stack (see
+    _power_values), so a matrix gets the same bits alone and in any stack.
+    `spectrum` is eigh(A) when the caller already has it.
     """
     M = as_square(A)
     if M.ndim == 2:  # a single matrix is a stack of one
         if spectrum is not None:
             spectrum = SpectralDecomposition(spectrum[0][None], spectrum[1][None])
         return matrix_power(M[None], t, spectrum)[0]
-    if np.ndim(t) == 0:
-        return _power(M, float(t), spectrum)
-    t = np.asarray(t, dtype=float)
-    exponents = set(t.tolist())
-    if len(exponents) == 1:
-        return _power(M, exponents.pop(), spectrum)
-    out = np.empty_like(M)
-    for shortcut in (0.0, 1.0):
-        rows = t == shortcut
-        if rows.any():
-            out[rows] = _power(M[rows], shortcut, None)
+    t = np.full(len(M), float(t)) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    values = set(t.tolist())
+    if not values & {0.0, 1.0}:
+        w, U = eigh(M) if spectrum is None else spectrum
+        return compose(U, _power_values(w, t, values))
+    # A^0 = I and A^1 = A need no decomposition, only the Hermitian gate
+    out = np.where(per_matrix(t == 0.0), identity(M.shape[-1]), require_hermitian(M))
     rest = (t != 0.0) & (t != 1.0)
     if rest.any():
         w, U = eigh(M[rest]) if spectrum is None else rows_of(spectrum, rest)
-        t = t[rest]
-        pw = np.empty_like(w)
-        # each distinct exponent as a Python float: numpy computes w ** 0.5,
-        # w ** -1.0 and w ** 2.0 differently when the exponent is an array
-        for value in sorted(exponents - {0.0, 1.0}):
-            rows = t == value
-            pw[rows] = _power_values(w[rows], value)
-        out[rest] = compose(U, pw)
+        out[rest] = compose(U, _power_values(w, t[rest], values - {0.0, 1.0}))
     return out
 
 
-def _power(M: np.ndarray, t: float, spectrum) -> np.ndarray:
-    """M^t, one exponent for every matrix of the stack M."""
-    if t == 0.0 or t == 1.0:
-        M = require_hermitian(M)
-        return np.broadcast_to(identity(M.shape[-1]), M.shape).copy() if t == 0.0 else M.copy()
-    w, U = eigh(M) if spectrum is None else spectrum
-    return compose(U, _power_values(w, t))
+# Exponents numpy computes by a special function when given as a Python
+# float (w ** 0.5 by sqrt, w ** -1.0 by reciprocal, w ** 2.0 by square);
+# those can differ in the last bit from the general power.
+_FAST_POWERS = frozenset((0.5, -1.0, 2.0))
 
 
-def _power_values(w: np.ndarray, t: float) -> np.ndarray:
-    """w ** t under matrix_power's policy; w holds one row of ascending
-    eigenvalues per matrix."""
-    if t == round(t) and t > 0:
-        return w ** t
+def _power_values(w: np.ndarray, t: np.ndarray, values: set) -> np.ndarray:
+    """w ** t under matrix_power's policy: w holds one row of ascending
+    eigenvalues per matrix, t one exponent per row, never 0 or 1, and
+    values the set of them.  Each gate judges the rows of the exponents it
+    applies to.  One np.power call raises each row to its exponent, except
+    that the rows of a _FAST_POWERS value take numpy's scalar call, alone
+    or in any stack."""
     lam_min, lam_max = w[:, 0], np.maximum(w[:, -1], 0.0)
-    if t < 0:
+    if min(values, default=0.0) < 0:
         bad = lam_min <= SINGULAR_TOL * lam_max
+        if max(values) > 0:
+            bad &= t < 0
         if bad.any():
-            raise SingularMatrix(f"negative power {t} of a matrix with lam_min={lam_min[bad][0]:.3e}")
-        return w ** t
-    bad = lam_min < -PSD_TOL * (1.0 + lam_max)
-    if bad.any():
-        raise NotPositiveSemidefinite(
-            f"fractional power {t} of a matrix with lam_min={lam_min[bad][0]:.3e}"
-        )
-    return np.maximum(w, 0.0) ** t
+            raise SingularMatrix(
+                f"negative power {t[bad][0]} of a matrix with lam_min={lam_min[bad][0]:.3e}"
+            )
+    base = w
+    fractional = {v for v in values if v > 0 and v != round(v)}
+    if fractional:
+        # fractional powers read the eigenvalues clamped at 0
+        clamp = True if fractional == values else (t > 0) & (t != np.floor(t))
+        bad = clamp & (lam_min < -PSD_TOL * (1.0 + lam_max))
+        if bad.any():
+            raise NotPositiveSemidefinite(
+                f"fractional power {t[bad][0]} of a matrix with lam_min={lam_min[bad][0]:.3e}"
+            )
+        base = np.maximum(w, 0.0) if clamp is True else np.where(clamp[:, None], np.maximum(w, 0.0), w)
+    fast = values & _FAST_POWERS
+    if len(values) == 1 and fast:
+        return base ** fast.pop()
+    out = np.power(base, t[:, None])
+    for value in fast:
+        rows = t == value
+        out[rows] = base[rows] ** value
+    return out
 
 
 def compose(U: np.ndarray, w: np.ndarray) -> np.ndarray:

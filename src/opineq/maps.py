@@ -11,13 +11,14 @@ the identity to the identity of the output dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedSpec, UnknownKind
 from .linalg import as_matrix, eigh, identity, op_norm
-from .sampler import SplitMix64, derive_seed, haar_stack, sample_constrained
+from .sampler import SplitMix64, derive_seed, derive_seeds, haar_stack, sample_constrained
 
 MAP_KINDS = (
     "identity",
@@ -58,12 +59,28 @@ class MapSpec:
             return f"unitary_mixture(x{len(self.payload)})"
         return self.kind
 
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """Mask of the entries whose row and column share a block: one block
+        for identity, the payload's for pinching, n of one for diagonal."""
+        block = np.zeros(self.n, dtype=int) if self.kind == "identity" else np.arange(self.n)
+        if self.kind == "pinching":
+            for b, idx in enumerate(self.payload):
+                block[list(idx)] = b
+        return block[:, None] == block
 
-def _unitary_residual(V: np.ndarray, k: int) -> float:
-    """max |V* V - I_k|; an entry large enough to overflow gives inf, which
-    fails the tolerance like NaN does."""
+
+def _certify_frames(kind: str, V: np.ndarray) -> None:
+    """The isometry certificate of a stack of compression payloads or of
+    mixture factors, all of one shape: max |V* V - I| of each matrix must
+    be within STRUCT_TOL.  An entry large enough to overflow gives inf,
+    which fails like NaN does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.max(np.abs(V.conj().T @ V - np.eye(k)))
+        resid = np.max(abs(V.conj().swapaxes(-1, -2) @ V - np.eye(V.shape[-1])), axis=(-2, -1))
+    bad = ~(resid <= STRUCT_TOL)
+    if bad.any():
+        what = "compression columns not isometric" if kind == "compression" else "mixture factor not unitary"
+        raise MalformedSpec(f"{what}: residual {resid[bad][0]:.3e}")
 
 
 def _structural_check(phi: MapSpec):
@@ -80,9 +97,7 @@ def _structural_check(phi: MapSpec):
         k = V.shape[1]
         if not 1 <= k <= phi.n:
             raise MalformedSpec(f"compression rank {k} outside [1, {phi.n}]")
-        resid = _unitary_residual(V, k)
-        if not resid <= STRUCT_TOL:
-            raise MalformedSpec(f"compression columns not isometric: residual {resid:.3e}")
+        _certify_frames(phi.kind, V[None])
     elif phi.kind == "pinching":
         seen = sorted(i for b in phi.payload for i in b)
         if len(seen) != phi.n or seen != list(range(phi.n)):
@@ -99,9 +114,7 @@ def _structural_check(phi: MapSpec):
             U = np.asarray(U)
             if U.shape != (phi.n, phi.n):
                 raise MalformedSpec("mixture unitary has the wrong shape")
-            resid = _unitary_residual(U, phi.n)
-            if not resid <= STRUCT_TOL:
-                raise MalformedSpec(f"mixture factor not unitary: residual {resid:.3e}")
+            _certify_frames(phi.kind, U[None])
         if not abs(total - 1.0) <= STRUCT_TOL:
             raise MalformedSpec(f"mixture weights sum to {total!r}, not 1")
 
@@ -112,62 +125,85 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
     return apply_maps([phi], as_matrix(A)[None])[0]
 
 
-def _kept(phi: MapSpec) -> np.ndarray:
-    """Mask of the entries whose row and column share a block: one block
-    for identity, the payload's for pinching, n of one for diagonal."""
-    block = np.zeros(phi.n, dtype=int) if phi.kind == "identity" else np.arange(phi.n)
-    if phi.kind == "pinching":
-        for b, idx in enumerate(phi.payload):
-            block[list(idx)] = b
-    return block[:, None] == block
-
-
 def apply_maps(phis, X) -> np.ndarray:
     """Each matrix of the (T, n, n) stack X under its own map, re-stacked:
-    one map per matrix, all sharing one output dimension.
-
-    The block-diagonal kinds run as one masked copy over their stacked
-    masks, the trace averages as one batched trace, and the compressions as
-    one batched V* M V product.  Unitary mixtures run term by term: for each
-    term index j, one batched U M U* product over the maps that have a j-th
-    term, added in term order onto zeros, so each result has the bits of
-    summing its own terms one at a time."""
+    one map per matrix, all sharing one output dimension (see map_plan)."""
     X = np.asarray(X, dtype=np.complex128)
     if X.ndim != 3 or len(phis) != len(X):
         raise DimensionMismatch(f"need one map per matrix, got {len(phis)} for shape {X.shape}")
+    return map_plan(phis, X.shape[-1])(X)
+
+
+def map_plan(phis, n: int):
+    """apply_maps for the maps phis of dimension n, grouped once: the
+    returned function maps a (T, n, n) stack, matrix i under phis[i], or S
+    such stacks at once as (S, T, n, n).
+
+    The block-diagonal kinds run as one masked copy over their stacked
+    masks (each spec's mask is made once), the trace averages as one
+    batched trace, and the compressions as one batched V* M V product.
+    Unitary mixtures run term by term: for each term index j, one batched
+    U M U* product over the maps that have a j-th term, added in term order
+    onto zeros, so each result has the bits of summing its own terms one at
+    a time."""
     for phi in phis:
-        if phi.n != X.shape[-1]:
-            raise DimensionMismatch(f"map expects dimension {phi.n}, matrix has {X.shape[-1]}")
-    rows: dict = {}
-    for i, phi in enumerate(phis):
-        rows.setdefault("masked" if phi.kind in _MASKED else phi.kind, []).append(i)
-    dims = {phi.out_dim for phi in phis} or {X.shape[-1]}
+        if phi.n != n:
+            raise DimensionMismatch(f"map expects dimension {phi.n}, matrix has {n}")
+    dims = {phi.out_dim for phi in phis} or {n}
     if len(dims) > 1:
         raise DimensionMismatch(f"maps with output dimensions {sorted(dims)} cannot share a stack")
     k = dims.pop()
-    out = np.empty((len(phis), k, k), dtype=np.complex128)
-    for kind, idx in rows.items():
-        if kind == "masked":
-            out[idx] = np.where(np.stack([_kept(phis[i]) for i in idx]), X[idx], 0)
-        elif kind == "trace_average":
-            out[idx] = (np.trace(X[idx], axis1=-2, axis2=-1) / k)[:, None, None] * identity(k)
-        elif kind == "compression":
-            V = np.stack([phis[i].payload for i in idx])
-            out[idx] = V.conj().swapaxes(-1, -2) @ X[idx] @ V
-        else:  # unitary_mixture: its terms differ in number from map to map
-            out[idx] = _mixtures([phis[i].payload for i in idx], X[idx])
-    return out
+    rows: dict = {}
+    for i, phi in enumerate(phis):
+        rows.setdefault("masked" if phi.kind in _MASKED else phi.kind, []).append(i)
+    steps = [(_row_index(idx, len(phis)), _kind_step(kind, [phis[i] for i in idx], k))
+             for kind, idx in rows.items()]
+    if len(steps) == 1:  # one kind's step maps every matrix
+        return steps[0][1]
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        out = np.empty(X.shape[:-2] + (k, k), dtype=np.complex128)
+        for idx, step in steps:
+            out[..., idx, :, :] = step(X[..., idx, :, :])
+        return out
+
+    return apply
 
 
-def _mixtures(payloads, X: np.ndarray) -> np.ndarray:
-    """sum_j w_j U_j M U_j* for each matrix M of X under its own terms."""
-    out = np.zeros_like(X)
-    for j in range(max(len(terms) for terms in payloads)):
-        has = [t for t, terms in enumerate(payloads) if len(terms) > j]
-        w = np.array([payloads[t][j][0] for t in has])
-        U = np.stack([payloads[t][j][1] for t in has])
-        out[has] += w[:, None, None] * (U @ X[has] @ U.conj().swapaxes(-1, -2))
-    return out
+def _kind_step(kind: str, group: list, k: int):
+    """The function that maps a stack under the maps of one kind's group."""
+    if kind == "masked":
+        mask = np.stack([phi._kept for phi in group])
+        return lambda X: np.where(mask, X, 0)
+    if kind == "trace_average":
+        return lambda X: (np.trace(X, axis1=-2, axis2=-1) / k)[..., None, None] * identity(k)
+    if kind == "compression":
+        V = np.stack([phi.payload for phi in group])
+        Vh = V.conj().swapaxes(-1, -2)
+        return lambda X: Vh @ X @ V
+    # unitary_mixture: sum_j w_j U_j M U_j*, its terms differing in number
+    # from map to map
+    payloads = [phi.payload for phi in group]
+    terms = []
+    for j in range(max(len(t) for t in payloads)):
+        has = [i for i, t in enumerate(payloads) if len(t) > j]
+        U = np.stack([payloads[i][j][1] for i in has])
+        w = np.array([payloads[i][j][0] for i in has])[:, None, None]
+        terms.append((_row_index(has, len(payloads)), w, U, U.conj().swapaxes(-1, -2)))
+
+    def mixture(X: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(X)
+        for has, w, U, Uh in terms:
+            out[..., has, :, :] += w * (U @ X[..., has, :, :] @ Uh)
+        return out
+
+    return mixture
+
+
+def _row_index(idx: list, count: int):
+    """The index of the rows idx of a stack of count: a slice when it
+    takes them all, so that reading and writing them copies nothing."""
+    return slice(None) if len(idx) == count else idx
 
 
 @dataclass(frozen=True)
@@ -214,7 +250,9 @@ def random_maps(n: int, kinds, seeds) -> list[MapSpec]:
 
     Each map's stream derive_seed(seed, "map", kind, n) gives, in order, the
     compression rank (n >= 2) or the mixture's count and raw weights, or the
-    pinching's cut bits; its frames follow, 2n^2 outputs each.
+    pinching's cut bits; its frames follow, 2n^2 outputs each.  The frames
+    are certified as MapSpec certifies them, one stack per kind and rank,
+    so the specs are made without certifying each again.
     """
     for kind in kinds:
         if kind not in MAP_KINDS:
@@ -223,13 +261,16 @@ def random_maps(n: int, kinds, seeds) -> list[MapSpec]:
         raise DimensionMismatch(f"need n >= 1, got {n}")
     plans = []    # (kind, payload so far, frame indices into the stack)
     states = []   # SplitMix64 state at the start of each frame
-    for kind, seed in zip(kinds, seeds):
-        rng = SplitMix64(derive_seed(seed, "map", kind, n))
+    batches: dict = {}  # (kind, columns the payload keeps) -> frame indices, one certificate each
+    streams = derive_seeds(seeds, [f"map/{kind}/{n}" for kind in kinds]).tolist()
+    for kind, stream in zip(kinds, streams):
+        rng = SplitMix64(stream)
         if kind in ("identity", "trace_average", "diagonal"):
             plans.append((kind, None, ()))
         elif kind == "compression":
             k = rng.randint(1, n - 1) if n >= 2 else 1
             plans.append((kind, k, (len(states),)))
+            batches.setdefault((kind, k), []).append(len(states))
             states.append(rng.state)
         elif kind == "pinching":
             blocks: list[tuple[int, ...]] = []
@@ -249,16 +290,28 @@ def random_maps(n: int, kinds, seeds) -> list[MapSpec]:
             weights = [w / total for w in raw]
             # nudge the last weight so the sum is exactly 1 in floating point
             weights[-1] = 1.0 - sum(weights[:-1])
-            plans.append((kind, weights, tuple(range(len(states), len(states) + count))))
+            frames = range(len(states), len(states) + count)
+            plans.append((kind, weights, frames))
+            batches.setdefault((kind, n), []).extend(frames)
             for _ in range(count):
                 states.append(rng.state)
                 rng.skip(2 * n * n)
     Q = haar_stack(n, states) if states else None
+    for (kind, k), idx in batches.items():
+        _certify_frames(kind, Q[idx, :, :k])
     specs = []
     for kind, payload, frames in plans:
         if kind == "compression":
             payload = Q[frames[0]][:, :payload].copy()
         elif kind == "unitary_mixture":
             payload = tuple((w, Q[f]) for w, f in zip(payload, frames))
-        specs.append(MapSpec(kind, n, payload))
+        specs.append(_certified(kind, n, payload) if frames else MapSpec(kind, n, payload))
     return specs
+
+
+def _certified(kind: str, n: int, payload) -> MapSpec:
+    """A MapSpec whose frames random_maps has certified: made without
+    __init__, so that __post_init__ does not certify it a second time."""
+    spec = object.__new__(MapSpec)
+    spec.__dict__.update(kind=kind, n=n, payload=payload)
+    return spec

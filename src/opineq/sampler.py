@@ -37,6 +37,7 @@ from .linalg import compose, eigh
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_FNV_OFFSET, _FNV_PRIME = 0xCBF29CE484222325, 0x100000001B3
 _UNIT = 1.0 / (1 << 53)
 
 # Absolute slack allowed when re-checking that sampled spectra landed inside
@@ -52,15 +53,49 @@ def mix64(z: int) -> int:
 
 
 def fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
+    h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & _MASK
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK
     return h
 
 
 def derive_seed(parent: int, *labels) -> int:
-    """Child seed for a named substream: mix64(parent XOR fnv1a64(label))."""
+    """Child seed for a named substream: mix64(parent XOR fnv1a64(label)),
+    the label being the labels joined by "/"."""
     return mix64((parent & _MASK) ^ fnv1a64("/".join(str(x) for x in labels)))
+
+
+def derive_seeds(parents, label) -> np.ndarray:
+    """derive_seed(parent, label) for each parent, as a uint64 array.
+    `label` is one string for every parent or a list of one per parent;
+    each distinct label is hashed once, and mix64 runs over the array."""
+    if isinstance(label, str):
+        h = np.uint64(fnv1a64(label))
+    else:
+        hashes = {text: fnv1a64(text) for text in set(label)}
+        h = np.array([hashes[text] for text in label], dtype=np.uint64)
+    return _mix(_u64(parents) ^ h)
+
+
+def trial_seeds(parent: int, prefixes, trials) -> np.ndarray:
+    """derive_seed(parent, prefixes[i] + str(trials[i])) for each i, as a
+    uint64 array, for trials >= 0: each distinct prefix is hashed once, and
+    the hashes are continued over the trials' decimal digits all at once,
+    the most significant first."""
+    hashes = {text: fnv1a64(text) for text in set(prefixes)}
+    h = np.array([hashes[text] for text in prefixes], dtype=np.uint64)
+    t = np.array(trials, dtype=np.uint64)
+    digits = np.maximum(t, 1)  # 0 is written with one digit too
+    for power in reversed([10 ** k for k in range(len(str(max(trials, default=0))))]):
+        h = np.where(digits >= power, (h ^ (t // power % 10 + ord("0"))) * _FNV_PRIME, h)
+    return _mix(h ^ np.uint64(parent & _MASK))
+
+
+def _u64(values) -> np.ndarray:
+    """Integers mod 2^64 as a uint64 array; a uint64 array is itself."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        return values
+    return np.array([int(v) & _MASK for v in values], dtype=np.uint64)
 
 
 class SplitMix64:
@@ -68,8 +103,11 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return mix64(self.state)
+        # mix64 of the new state, inlined: this is the search's most frequent call
+        z = self.state = (self.state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return z ^ (z >> 31)
 
     def skip(self, count: int) -> None:
         """Leave the state of `count` next_u64 calls without making them."""
@@ -93,11 +131,33 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+class DrawnFloats:
+    """Floats drawn ahead from a SplitMix64 stream (see float_rows), read
+    as the stream would give them: next_float returns them in order, and
+    uniform and log_uniform are SplitMix64's own, on these floats."""
+
+    uniform = SplitMix64.uniform
+    log_uniform = SplitMix64.log_uniform
+
+    def __init__(self, floats):
+        self.next_float = iter(floats).__next__
+
+
+def float_rows(states, count: int) -> list:
+    """The first `count` next_float() values of a SplitMix64 at each state,
+    one list per state, all from one finalizer pass."""
+    return ((_mix_rows(_u64(states)[:, None], count) >> 11) * _UNIT).tolist()
+
+
 def _mix_rows(states, count: int) -> np.ndarray:
     """`count` next_u64 outputs of a SplitMix64 at each state, along the last
     axis: the mix64 finalizer of state + k*GOLDEN, k = 1..count (uint64
     arrays wrap mod 2^64).  `states` is a uint64 column."""
-    z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + states
+    return _mix(np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + states)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """mix64 of each entry of a uint64 array, in place."""
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
@@ -155,15 +215,15 @@ def sample_stack(n: int, lo, hi, seeds, force_endpoints: bool = False) -> np.nda
     one finalizer pass, one batched QR and one batched product."""
     if n < 1:
         raise BadBounds(f"need n >= 1, got {n}")
-    for a, b in zip(lo, hi):
-        if not 0.0 < a <= b:
-            raise BadBounds(f"need 0 < lo <= hi, got lo={a}, hi={b}")
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bad = ~((0.0 < lo) & (lo <= hi))
+    if bad.any():
+        raise BadBounds(f"need 0 < lo <= hi, got lo={lo[bad][0]}, hi={hi[bad][0]}")
     out = lo[:, None, None] * np.eye(n, dtype=np.complex128)
     live = lo < hi
     if live.any():
         lo, hi = lo[live, None], hi[live, None]
-        z = _mix_rows(np.array([[s & _MASK] for s in seeds], dtype=np.uint64)[live], n + 2 * n * n)
+        z = _mix_rows(_u64(seeds)[live, None], n + 2 * n * n)
         lam = np.sort(lo + (hi - lo) * ((z[:, :n] >> 11) * _UNIT))
         if force_endpoints and n >= 2:
             lam[:, 0], lam[:, -1] = lo[:, 0], hi[:, 0]
@@ -242,7 +302,7 @@ def stack_instances(bounds, n: int, seeds, force_endpoints: bool = False) -> lis
     stack; the pair of seed s takes A from derive_seed(s, "A") and B from
     derive_seed(s, "B").  A stack holds 2 * len(seeds) * n^2 * 16 bytes."""
     iv = np.array([b.a_interval() + b.b_interval() for b in bounds], dtype=float).reshape(-1, 2)
-    labelled = [derive_seed(s, label) for s in seeds for label in "AB"]
+    labelled = np.stack([derive_seeds(seeds, "A"), derive_seeds(seeds, "B")], axis=-1).ravel()
     AB = sample_stack(n, iv[:, 0], iv[:, 1], labelled, force_endpoints)
     return [
         Instance(A=AB[2 * i], B=AB[2 * i + 1], bounds=b, seed=s, n=n)

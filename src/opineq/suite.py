@@ -21,6 +21,7 @@ call, and moves each lane to its best.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io as _io
@@ -35,7 +36,17 @@ from .constants import CaseParams, SandwichBounds
 from .errors import ConfigInvalid, HypothesisNotMet, OpineqError
 from .io import dumps_canonical, instance_to_obj, map_to_obj
 from .maps import MAP_KINDS, random_maps
-from .sampler import Instance, SplitMix64, build_from_spectra, derive_seed, stack_instances
+from .sampler import (
+    DrawnFloats,
+    Instance,
+    SplitMix64,
+    build_from_spectra,
+    derive_seed,
+    derive_seeds,
+    float_rows,
+    stack_instances,
+    trial_seeds,
+)
 from .verifier import (
     ALPHA_GRID,
     DEFAULT_TOL,
@@ -147,8 +158,9 @@ class SuiteConfig:
         return hashlib.sha256(dumps_canonical(self.hash_payload()).encode()).hexdigest()
 
 
-def _draw_bounds(entry: RegistryEntry, kind: str, rng: SplitMix64) -> SandwichBounds:
-    """Random hypothesis bounds of the requested kind.
+def _draw_bounds(entry: RegistryEntry, kind: str, rng) -> SandwichBounds:
+    """Random hypothesis bounds of the requested kind, from at most four
+    floats of `rng` (a SplitMix64 or DrawnFloats).
 
     Outer condition number h is uniform in [1.5, 20]; the inner sandwich
     ratio h' sits strictly inside (1, h) with the inner interval placed
@@ -210,21 +222,25 @@ def _chunks(cfg: SuiteConfig) -> list[tuple[int, list[tuple[str, int]]]]:
 def _draw_chunk(cfg: SuiteConfig, n: int, cases: list[tuple[str, int]]) -> list[InequalityCase]:
     """The chunk's cases in order, not yet verified (check_block verifies
     each).  Case (id, trial) takes every draw from derive_seed(cfg.seed, id,
-    n, trial); the chunk makes one stack_instances call, and one random_maps
-    call for the cases whose entry reads a map."""
+    n, trial), and then from its children "bounds", "instance" and "map";
+    the chunk derives each of them as one column, and makes one
+    stack_instances call and one random_maps call for the cases whose entry
+    reads a map."""
     entries = [get_entry(ineq_id) for ineq_id, _ in cases]
-    seeds = [derive_seed(cfg.seed, ineq_id, n, t) for ineq_id, t in cases]
-    bounds = [
-        cfg.fixed_bounds if cfg.fixed_bounds is not None else _draw_bounds(
-            entry, entry.kinds[t % len(entry.kinds)], SplitMix64(derive_seed(s, "bounds")))
-        for entry, (_, t), s in zip(entries, cases, seeds)
-    ]
-    instances = stack_instances(
-        bounds, n, [derive_seed(s, "instance") for s in seeds], cfg.force_endpoints
-    )
+    seeds = trial_seeds(cfg.seed, [f"{ineq_id}/{n}/" for ineq_id, _ in cases], [t for _, t in cases])
+    if cfg.fixed_bounds is not None:
+        bounds = [cfg.fixed_bounds] * len(cases)
+    else:
+        # a bounds draw reads at most four floats of its stream
+        floats = float_rows(derive_seeds(seeds, "bounds"), 4)
+        bounds = [
+            _draw_bounds(entry, entry.kinds[t % len(entry.kinds)], DrawnFloats(u))
+            for entry, (_, t), u in zip(entries, cases, floats)
+        ]
+    instances = stack_instances(bounds, n, derive_seeds(seeds, "instance").tolist(), cfg.force_endpoints)
     mapped = [i for i, entry in enumerate(entries) if entry.uses_phi]
     phis = dict(zip(mapped, random_maps(n, [MAP_KINDS[cases[i][1] % len(MAP_KINDS)] for i in mapped],
-                                        [derive_seed(seeds[i], "map") for i in mapped])))
+                                        derive_seeds(seeds[mapped], "map"))))
     return [
         InequalityCase(ineq_id=entry.ineq_id, instance=instance, phi=phis.get(i),
                        params=_case_params(cfg, entry, t), scale=cfg.mutate.get(entry.ineq_id, 1.0))
@@ -466,7 +482,7 @@ _MOVES = ("bounds", "lamA", "lamB", "frameA", "frameB", "align", "nu", "p", "alp
 
 def _mutate_state(entry: RegistryEntry, st: _SearchState, n: int, rng: SplitMix64) -> _SearchState:
     move = _MOVES[rng.randint(0, len(_MOVES) - 1)]
-    st = replace(st)
+    st = copy.copy(st)
     if move == "bounds":
         kind = entry.kinds[rng.randint(0, len(entry.kinds) - 1)]
         st.bounds = _draw_bounds(entry, kind, rng)

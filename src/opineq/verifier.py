@@ -49,7 +49,7 @@ from .errors import (
     DegenerateInterval,
 )
 from .linalg import SpectralDecomposition, eigh, hermitize, matrix_power, op_norm, per_matrix, spectral_norm
-from .maps import MapSpec, apply_maps
+from .maps import MapSpec, map_plan
 from .means import arithmetic_mean, bracket_term, geometric_mean
 from .sampler import Instance, verify_instances
 
@@ -63,15 +63,15 @@ ALPHA_GRID = (1.0, 1.25, 1.5, 2.0)
 
 class Operands(NamedTuple):
     """What a row's `sides` function reads, for a stack of T cases (T = 1
-    included): the pairs (T, n, n) with their spectra, the maps and bounds
-    (lists of T), the resolved exponents (arrays of T), and the displayed
-    form."""
+    included): the pairs (T, n, n) with their spectra, the maps (as one
+    maps.map_plan, None where the entry reads no map) and bounds (a list of
+    T), the resolved exponents (arrays of T), and the displayed form."""
 
     A: np.ndarray
     B: np.ndarray
     sA: SpectralDecomposition
     sB: SpectralDecomposition
-    phi: list
+    phi: Optional[Callable]
     bounds: list
     nu: np.ndarray
     p: np.ndarray
@@ -169,8 +169,9 @@ def _squares(norms):
     return np.array([float(v) ** 2 for v in norms])
 
 
-def _phi(x, X):
-    return apply_maps(x.phi, X)
+def _phi(x, *Xs):
+    """The maps applied once to the stacks Xs, which come back mapped."""
+    return tuple(x.phi(np.array(Xs)))  # np.stack's copy, with less overhead per array
 
 
 def _amgm(x):
@@ -185,8 +186,8 @@ def _power_monotone(x):
 
 
 def _choi(x):
-    pa = _phi(x, x.A)
-    return "loewner", matrix_power(pa, -1.0), _phi(x, matrix_power(x.A, -1.0, x.sA))
+    pa, pai = _phi(x, x.A, matrix_power(x.A, -1.0, x.sA))
+    return "loewner", matrix_power(pa, -1.0), pai
 
 
 def _lemma22_i(x):
@@ -216,22 +217,20 @@ def _lemma23(x):
     return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
-def _mapped_mean(x):
-    """Phi(A #_nu B)."""
-    return _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA))
-
-
-def _mean_of_maps(x):
-    """Phi(A) #_nu Phi(B)."""
-    return geometric_mean(_phi(x, x.A), _phi(x, x.B), x.nu)
+def _both_means(x):
+    """Phi(A #_nu B) and Phi(A) #_nu Phi(B), from one application of the maps."""
+    mapped_mean, pa, pb = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA), x.A, x.B)
+    return mapped_mean, geometric_mean(pa, pb, x.nu)
 
 
 def _map_domination(x):
-    return "loewner", _mapped_mean(x), _mean_of_maps(x)
+    mapped_mean, mean_of_maps = _both_means(x)
+    return "loewner", mapped_mean, mean_of_maps
 
 
 def _reverse_domination(x):
-    return "loewner", _mean_of_maps(x), _mapped_mean(x)
+    mapped_mean, mean_of_maps = _both_means(x)
+    return "loewner", mean_of_maps, mapped_mean
 
 
 def _outer(x):
@@ -241,18 +240,20 @@ def _outer(x):
 
 def _norm_refinement(x):
     m, M = _outer(x)
-    plain = matrix_power(_phi(x, arithmetic_mean(x.A, x.B, x.nu)), x.p)
-    fat = matrix_power(_phi(x, bracket_term(x.A, x.B, m, M, x.nu, (x.sA, x.sB))), x.p)
-    return "norm", op_norm(plain), op_norm(fat)
+    plain, fat = _phi(x, arithmetic_mean(x.A, x.B, x.nu), bracket_term(x.A, x.B, m, M, x.nu, (x.sA, x.sB)))
+    return "norm", op_norm(matrix_power(plain, x.p)), op_norm(matrix_power(fat, x.p))
 
 
 def _reverse_power(x, left):
     """Phi^p(left) against (mean block)^p, the mean block taken in the entry's form."""
-    mean = _mean_of_maps(x) if x.outside else _mapped_mean(x)
+    if x.outside:
+        mapped_left, pa, pb = _phi(x, left, x.A, x.B)
+        blocks = np.array([mapped_left, geometric_mean(pa, pb, x.nu)])
+    else:
+        blocks = x.phi(np.array([left, geometric_mean(x.A, x.B, x.nu, x.sA)]))
     # both blocks raised to p as one stack
-    blocks = np.stack([_phi(x, left), mean])
     p = np.tile(x.p, 2)
-    lhs, rhs = matrix_power(blocks.reshape((-1,) + mean.shape[-2:]), p).reshape(blocks.shape)
+    lhs, rhs = matrix_power(blocks.reshape((-1,) + blocks.shape[-2:]), p).reshape(blocks.shape)
     return "loewner", lhs, rhs
 
 
@@ -491,8 +492,9 @@ def check_block(cases, tol: float = DEFAULT_TOL) -> list[Verdict]:
     dimension, since compression rows shrink to k) are evaluated
     together as (T, n, n) stacks of at most stack_rows(n) cases.  Every
     verdict is bit-identical to the one the case gets alone: each gate
-    judges each case on its own, exponents are applied per distinct value,
-    and stacked LAPACK and matmul calls return what single calls return.
+    judges each case on its own, a matrix takes its exponent with the bits
+    it gets alone (see linalg.matrix_power), and stacked LAPACK and matmul
+    calls return what single calls return.
     When several cases fail, the error is the first raised in evaluation
     order, which need not be the first failing case's: every case's
     hypothesis and constant are checked before any stack is evaluated.
@@ -561,18 +563,22 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
     sides, outside = rows[0].entry.sides, rows[0].entry.outside
     insts = [row.case.instance for row in rows]
     prm = [row.params for row in rows]
-    A, B = np.stack([inst.A for inst in insts]), np.stack([inst.B for inst in insts])
+    T = len(rows)
+    # A over B as one stack: one LAPACK call decomposes both
+    AB = np.array([inst.A for inst in insts] + [inst.B for inst in insts])
+    A, B = AB[:T], AB[T:]
     nu = np.array([q.nu for q in prm])
     p, alpha = np.array([q.p for q in prm]), np.array([q.alpha for q in prm])
-    sA, sB = eigh(A), eigh(B)
+    w, U = eigh(AB)
+    sA, sB = SpectralDecomposition(w[:T], U[:T]), SpectralDecomposition(w[T:], U[T:])
     verify_instances(insts, sA[0], sB[0])
+    phi = map_plan([row.case.phi for row in rows], A.shape[-1]) if rows[0].entry.uses_phi else None
     left = [row.entry.constant_left for row in rows]
     c = [row.c for row in rows]
     # an overflowing side is reported by the check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         kind, lhs, rhs = sides(Operands(
-            A, B, sA, sB, [row.case.phi for row in rows], [inst.bounds for inst in insts],
-            nu, p, alpha, outside,
+            A, B, sA, sB, phi, [inst.bounds for inst in insts], nu, p, alpha, outside,
         ))
         lhs = _scaled(lhs, c, left)
         rhs = _scaled(rhs, c, [not x for x in left])
@@ -591,7 +597,7 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
         # D, lhs and rhs as one stack: one LAPACK call gives D's lambda_min
         # and eigenvectors and both sides' norms
         D = hermitize(rhs - lhs)
-        w, V = eigh(np.stack([D, lhs, rhs]).reshape((-1,) + D.shape[-2:]))
+        w, V = eigh(np.array([D, lhs, rhs]).reshape((-1,) + D.shape[-2:]))
         w = w.reshape(3, len(rows), -1)
         gap = w[0, :, 0]
         lhs_norm, rhs_norm = np.maximum(abs(w[1:, :, 0]), abs(w[1:, :, -1]))

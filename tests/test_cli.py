@@ -203,6 +203,21 @@ def test_search_nu_pins_a_free_weight(capsys):
     assert rec["params"]["nu"] == 0.3
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--ineq", "amgm", "--n", "2", "--trials", "1"),
+    ("search", "--ineq", "amgm", "--n", "2", "--budget", "5"),
+    ("gen", "--n", "2", "--m", "1", "--M", "4"),
+])
+def test_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, argv):
+    """An --out in a directory that does not exist is bad input (exit 2),
+    not a failed inequality (exit 1)."""
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:") and str(out_path) in err
+    assert not out_path.parent.exists()
+
+
 def test_help_lists_registry_ids(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -101,6 +101,66 @@ def test_canonical_dumps_is_sorted_and_stable():
     assert a.endswith("\n")
 
 
+def _json_reference(obj) -> str:
+    """The text dumps_canonical must write, from the json module."""
+    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+
+
+class _Tag(str):
+    pass
+
+
+_WRITER_CORPUS = [
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-310, 1.7976931348623157e308, 0.1],
+    {}, [], (), {"a": {}, "b": [[]], "c": [{}], "d": [[], {}, ()]},
+    {"s": ["é", "☃", "\U0001F600", "\x00\x1f\x7f", "tab\t", 'quote"', "back\\slash",
+           "line\nbreak", "\ud800", ""]},
+    {"é key": 1, "\n": 2, "": 3},
+    [True, 1, False, 0, None, 1.0], {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+    [2 ** 63, 2 ** 64 + 5, -(2 ** 70), 2 ** 63 - 1],
+    (1, (2.5, "x", ()), [(3,)]), {"tuple": (1, 2), "nested": ({"k": (None,)},)},
+    [np.float64(0.1), np.float64("nan"), {"x": np.float64(-0.0)}],
+    [_Tag("sub"), {"k": _Tag("v")}],
+    {2: "a", 1: "b"}, {1.5: "x", 0.5: "y"}, {True: 1, False: 0}, {None: 1},
+    {"outer": {"x": {3: [1, {}, {"deep": {4: "y"}}]}, "y": [{10: 2, 9: [1]}]}},
+    1.5, "top", 7, None, True,
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_CORPUS, ids=range(len(_WRITER_CORPUS)))
+def test_dumps_canonical_writes_the_json_modules_bytes(obj):
+    assert dumps_canonical(obj) == _json_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a", "b": 2}, [{"x": {None: 1, 2: 3}}], [object()], {"k": np.int64(3)}, {(1, 2): 3},
+])
+def test_dumps_canonical_refuses_what_the_json_module_refuses(obj):
+    with pytest.raises(TypeError):
+        _json_reference(obj)
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+def test_dumps_canonical_on_reports_records_and_config_payloads():
+    import math
+    from dataclasses import asdict
+
+    from opineq.suite import SearchRecord, SuiteConfig, run_suite
+
+    cfg = SuiteConfig(ids=("amgm", "thm3.4", "thm1.1-phi-inside", "lin"), dims=(2, 3), trials=6,
+                      seed=11, mutate={"amgm": 0.5})
+    report = run_suite(cfg)
+    assert any(not row["holds"] for row in report.cases)  # rows with replay payloads
+    assert report.to_json() == _json_reference(report.to_obj())
+    record = SearchRecord("thm3.4", 0, math.inf, math.inf, False, {})
+    assert dumps_canonical(asdict(record)) == _json_reference(asdict(record))
+    fixed = SuiteConfig(ids=("lin",), dims=(2,), trials=1, p_grid=(1.0, 2.5), nu_grid=(0.5,),
+                        fixed_bounds=SandwichBounds.common(1.0, 4.0))
+    for c in (cfg, fixed):
+        assert dumps_canonical(c.hash_payload()) == _json_reference(c.hash_payload())
+
+
 def test_save_load_json(tmp_path):
     path = tmp_path / "x.json"
     save_json(str(path), {"k": [1, 2, 3]})

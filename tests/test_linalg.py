@@ -90,6 +90,83 @@ def test_matrix_power_on_a_stack_is_each_single_call(t):
         assert matrix_power(S, t, spectrum).tobytes() == ref.tobytes()
 
 
+_MIXED_EXPONENTS = (0.0, 1.0, 0.5, -1.0, 2.0, 3.0, -0.5, 1.5, 3.7)
+
+
+def _power_per_value(S, t):
+    """matrix_power's policy applied one distinct exponent at a time, each
+    as a Python float, in ascending order: the reference for the one-pass
+    exponent stack."""
+    out = np.empty_like(S)
+    w, U = np.linalg.eigh(S)
+    for value in sorted(set(t.tolist())):
+        rows = t == value
+        if value == 0.0:
+            out[rows] = np.eye(S.shape[-1])
+            continue
+        if value == 1.0:
+            out[rows] = S[rows]
+            continue
+        wr = w[rows]
+        lam_min, lam_max = wr[:, 0], np.maximum(wr[:, -1], 0.0)
+        if value == round(value) and value > 0:
+            pw = wr ** value
+        elif value < 0:
+            if (lam_min <= 1e-12 * lam_max).any():
+                raise SingularMatrix(value)
+            pw = wr ** value
+        else:
+            if (lam_min < -1e-10 * (1.0 + lam_max)).any():
+                raise NotPositiveSemidefinite(value)
+            pw = np.maximum(wr, 0.0) ** value
+        out[rows] = hermitize((U[rows] * pw[:, None, :]) @ U[rows].conj().swapaxes(-1, -2))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_one_exponent_pass_is_the_per_value_powers(n):
+    """A stack mixing shortcut, fast-path and general exponents gets, row
+    by row, the bits of raising each distinct exponent on its own rows."""
+    t = np.array(_MIXED_EXPONENTS * 3)
+    S = _psd_stack(70, T=len(t), n=n)
+    ref = _power_per_value(S, t)
+    for spectrum in (None, eigh(S)):
+        assert matrix_power(S, t, spectrum).tobytes() == ref.tobytes()
+    for value in _MIXED_EXPONENTS:  # one exponent, alone and in a stack
+        assert matrix_power(S, value).tobytes() == _power_per_value(S, np.full(len(t), value)).tobytes()
+        assert matrix_power(S[4], value).tobytes() == _power_per_value(S[4:5], np.array([value]))[0].tobytes()
+
+
+@pytest.mark.parametrize("bad, exponents", [
+    (np.diag([1e-14, 1.0]), (-0.5, 0.5, 3.0)),           # singular under a negative power
+    (np.diag([-0.5, 1.0]), (1.5, -1.0, 2.0)),            # indefinite under a fractional power
+    (np.diag([-0.5, 1.0]), (-1.0, 0.5)),                 # indefinite under a negative power
+    (np.diag([-0.5, 1.0]), (3.0, 0.5, 1.5)),             # an integer power needs no gate
+])
+def test_one_exponent_pass_raises_the_per_value_gate(bad, exponents):
+    """Row 0 is bad; the stack raises what the per-value powers raise,
+    and passes where they pass."""
+    S = _psd_stack(80, T=len(exponents), n=2)
+    S[0] = bad
+    t = np.array(exponents)
+    try:
+        ref = _power_per_value(S, t)
+    except (SingularMatrix, NotPositiveSemidefinite) as exc:
+        with pytest.raises(type(exc)):
+            matrix_power(S, t)
+    else:
+        assert matrix_power(S, t).tobytes() == ref.tobytes()
+    # the same with a second bad row of the other kind
+    S[1] = np.diag([1e-14, 1.0]) if bad[0, 0] < 0 else np.diag([-0.5, 1.0])
+    try:
+        _power_per_value(S, t)
+    except (SingularMatrix, NotPositiveSemidefinite) as exc:
+        with pytest.raises(type(exc)):
+            matrix_power(S, t)
+    else:
+        matrix_power(S, t)
+
+
 def test_norms_and_projections_on_a_stack_are_each_single_call():
     S = _psd_stack(50)
     X = S @ S[::-1]  # products of positive matrices: not Hermitian
@@ -231,6 +308,16 @@ def test_require_hermitian():
     with pytest.raises(NonHermitianInput):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     require_hermitian(np.array([[1.0, 2.0], [2.0, 5.0]]))
+    # exactly Hermitian but not finite: NaN fails M == M*, and an infinity
+    # placed symmetrically passes it, yet both still raise
+    inf = np.inf
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, inf], [inf, 1.0]], [[inf, 0.0], [0.0, 1.0]],
+                [[1.0, complex(0, inf)], [complex(0, -inf), 1.0]]):
+        for M in (np.array(bad, dtype=complex), np.stack([np.eye(2), np.array(bad, dtype=complex)])):
+            with pytest.raises(NonHermitianInput):
+                require_hermitian(M)
+            with pytest.raises(NonHermitianInput):
+                eigh(M)
 
 
 @settings(max_examples=30, deadline=None)

@@ -143,6 +143,39 @@ def _map_drawn_alone(n, kind, seed):
     return random_map(n, kind, seed)
 
 
+@pytest.mark.parametrize("kind", ["compression", "unitary_mixture"])
+@pytest.mark.parametrize("corrupt", [lambda Q: Q * (1.0 + 1e-9), lambda Q: Q * np.nan,
+                                     lambda Q: Q * 1e300])
+def test_random_maps_certify_each_drawn_frame(monkeypatch, kind, corrupt):
+    """random_maps certifies its frames in one batch per kind and rank; a
+    frame that is not isometric, NaN or overflowing fails it, wherever it
+    sits in the batch, as MapSpec's own certificate would."""
+    from opineq import maps
+
+    n = 3
+    kinds = ["identity", kind, "pinching", kind, kind]
+    seeds = [derive_seed(5, "corrupt", t) for t in range(len(kinds))]
+    honest = maps.haar_stack
+
+    for victim in range(2):
+        def corrupted_stack(n, states):
+            Q = honest(n, states).copy()
+            Q[victim] = corrupt(Q[victim])
+            return Q
+
+        monkeypatch.setattr(maps, "haar_stack", corrupted_stack)
+        with pytest.raises(MalformedSpec):
+            random_maps(n, kinds, seeds)
+    monkeypatch.undo()
+    random_maps(n, kinds, seeds)
+    # a spec built from the corrupted payload fails MapSpec's own check
+    good = random_map(n, kind, seeds[1])
+    payload = (corrupt(good.payload) if kind == "compression"
+               else tuple((w, corrupt(U)) for w, U in good.payload))
+    with pytest.raises(MalformedSpec):
+        MapSpec(kind, n, payload)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
 def test_random_maps_stack_is_each_single_draw(n):
     """A block's maps drawn as one stack are, trial by trial and for every

@@ -136,6 +136,28 @@ def test_row_mixer_is_next_block_per_state(count):
         np.testing.assert_array_equal(row[count:], sampler._mix_rows(_column([skipped.state]), count)[0])
 
 
+@pytest.mark.parametrize("master", [-7, 0, 12345, 2**64 - 1, 2**64 + 3])
+def test_seed_columns_are_derive_seed(master):
+    """The suite's case seeds and their children, derived as uint64
+    columns, are derive_seed's integers for every id, n and trial; trials
+    run to three digits."""
+    from opineq.verifier import registry_ids
+
+    cases = [(ineq_id, t) for ineq_id in registry_ids() for t in range(121)]
+    for n in (1, 2, 16):
+        column = sampler.trial_seeds(master, [f"{i}/{n}/" for i, _ in cases], [t for _, t in cases])
+        assert column.dtype == np.uint64
+        seeds = [derive_seed(master, i, n, t) for i, t in cases]
+        assert column.tolist() == seeds
+    for label in ("bounds", "instance", "map", "A", "B"):
+        assert sampler.derive_seeds(column, label).tolist() == [derive_seed(s, label) for s in seeds]
+    labels = [f"map/{kind}/{n}" for kind in ("identity", "pinching", "compression")] * 3
+    parents = [master, -1, 2**64 + 5, 0, 2**63, 7, 1, 2, 3]
+    assert sampler.derive_seeds(parents, labels).tolist() == [
+        derive_seed(p, label) for p, label in zip(parents, labels)
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
 @pytest.mark.parametrize("force_endpoints", [False, True])
 def test_sample_stack_is_the_single_draws(n, force_endpoints):

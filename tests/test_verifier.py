@@ -474,10 +474,10 @@ def test_check_block_splits_groups_larger_than_a_stack(monkeypatch):
     assert check_block(cases) == whole
 
 
-def test_reverse_power_stack_takes_five_lapack_calls(monkeypatch):
-    """A stack of reverse AM-GM rows decomposes A, B, the mean's inner
-    matrix, both blocks (raised to p as one stack) and D with both sides
-    (one stack that also gives the norms): five LAPACK calls."""
+def test_reverse_power_stack_takes_four_lapack_calls(monkeypatch):
+    """A stack of reverse AM-GM rows decomposes A and B (one stack), the
+    mean's inner matrix, both blocks (raised to p as one stack) and D with
+    both sides (one stack that also gives the norms): four LAPACK calls."""
     from opineq.suite import SuiteConfig, _draw_chunk
 
     chunk = [("thm1.1-phi-inside", t) for t in range(12)]
@@ -492,6 +492,6 @@ def test_reverse_power_stack_takes_five_lapack_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     stacked = check_block(cases)
-    assert len(calls) == 5
+    assert len(calls) == 4
     monkeypatch.undo()
     assert stacked == [check_case(case) for case in cases]
