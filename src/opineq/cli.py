@@ -17,7 +17,7 @@ import sys
 import textwrap
 from dataclasses import asdict
 
-from .constants import CaseParams, SandwichBounds
+from .constants import BOUND_FIELDS, KIND_FIELDS, CaseParams, SandwichBounds
 from .errors import ConfigInvalid, OpineqError
 from .io import dumps_canonical, instance_to_obj
 from .sampler import sample_instance
@@ -68,41 +68,23 @@ def _add_suite_flags(p: argparse.ArgumentParser, trials: int, out: str | None):
 
 
 def _bounds_from_args(args, ids=()) -> SandwichBounds | None:
-    """Build fixed bounds from the flags, inferring the bounds kind.
-
-    Four reverse flags -> reverse_ando; m/mp/Mp/M -> a sandwich whose
-    orientation is the first one every selected inequality accepts;
-    m/M alone -> common.  No bounds flags -> None (random draws).
+    """Fixed bounds from the flags: the kind whose fields are exactly the
+    flags given.  The two sandwich kinds share their fields; the first one
+    every selected inequality accepts wins (sandwich_B_low with no ids).
+    No bounds flags -> None (random draws).
     """
-    reverse = [args.m1, args.M1, args.m2, args.M2]
-    sandwich = [args.m, args.mp, args.Mp, args.M]
-    if any(v is not None for v in reverse):
-        if any(v is None for v in reverse):
-            raise ConfigInvalid("reverse bounds need all of --m1 --M1 --m2 --M2")
-        if any(v is not None for v in sandwich):
-            raise ConfigInvalid("give either --m/--mp/--Mp/--M or --m1/--M1/--m2/--M2, not both")
-        return SandwichBounds.reverse_ando(args.m1, args.M1, args.m2, args.M2)
-    if args.mp is not None or args.Mp is not None:
-        if any(v is None for v in sandwich):
-            raise ConfigInvalid("sandwich bounds need all of --m --mp --Mp --M")
-        orientation = None
-        if not ids:
-            orientation = "sandwich_B_low"
-        else:
-            for kind in ("sandwich_B_low", "sandwich_A_low"):
-                if all(kind in get_entry(i).kinds for i in ids):
-                    orientation = kind
-                    break
-        if orientation is None:
-            raise ConfigInvalid(
-                "the selected inequalities do not share a sandwich orientation"
-            )
-        return SandwichBounds(orientation, m=args.m, mp=args.mp, Mp=args.Mp, M=args.M)
-    if args.m is not None or args.M is not None:
-        if args.m is None or args.M is None:
-            raise ConfigInvalid("common bounds need both --m and --M")
-        return SandwichBounds.common(args.m, args.M)
-    return None
+    given = {f: getattr(args, f) for f in BOUND_FIELDS if getattr(args, f) is not None}
+    if not given:
+        return None
+    kinds = [kind for kind, fields in KIND_FIELDS.items() if set(fields) == set(given)]
+    if not kinds:
+        families = dict.fromkeys(" ".join(f"--{f}" for f in fields) for fields in KIND_FIELDS.values())
+        raise ConfigInvalid(f"give one bounds family: {', '.join(families)}")
+    if len(kinds) > 1:
+        kinds = [kind for kind in kinds if all(kind in get_entry(i).kinds for i in ids)]
+        if not kinds:
+            raise ConfigInvalid("the selected inequalities do not share a sandwich orientation")
+    return SandwichBounds(kinds[0], **given)
 
 
 def _emit(text: str, out: str | None):

@@ -17,12 +17,22 @@ from .errors import (
     BadBounds,
     ConfigInvalid,
     DegenerateInterval,
+    MalformedSpec,
     NonPositiveArgument,
     WeightOutOfRange,
 )
 
-BOUND_KINDS = ("common", "sandwich_B_low", "sandwich_A_low", "reverse_ando")
+# Each bounds kind's fields, in order: the one statement of which fields a
+# kind takes, read by validation, to_dict and the CLI's bounds flags.
+KIND_FIELDS = {
+    "common": ("m", "M"),
+    "sandwich_B_low": ("m", "mp", "Mp", "M"),
+    "sandwich_A_low": ("m", "mp", "Mp", "M"),
+    "reverse_ando": ("m1", "M1", "m2", "M2"),
+}
+BOUND_KINDS = tuple(KIND_FIELDS)
 BOUND_FIELDS = ("m", "mp", "Mp", "M", "m1", "M1", "m2", "M2")
+SANDWICH = ("sandwich_B_low", "sandwich_A_low")
 
 
 @dataclass(frozen=True)
@@ -46,35 +56,29 @@ class SandwichBounds:
     M2: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
+        fields = KIND_FIELDS.get(self.kind)
+        if fields is None:
             raise BadBounds(f"unknown bounds kind {self.kind!r}")
         for name in BOUND_FIELDS:
             v = getattr(self, name)
+            if (v is None) == (name in fields):  # a field of the kind unset, or another's set
+                raise BadBounds(f"{self.kind} bounds take {', '.join(fields)}, got {name} = {v}")
             if v is not None and not math.isfinite(v):
                 raise BadBounds(f"bound {name} must be finite, got {v}")
         if self.kind == "common":
-            if self.m is None or self.M is None:
-                raise BadBounds("common bounds need m and M")
             if not (0.0 < self.m <= self.M):
                 raise BadBounds(f"need 0 < m <= M, got m={self.m}, M={self.M}")
-        elif self.kind in ("sandwich_B_low", "sandwich_A_low"):
-            vals = (self.m, self.mp, self.Mp, self.M)
-            if any(v is None for v in vals):
-                raise BadBounds("sandwich bounds need m, mp, Mp, M")
-            if not (0.0 < self.m <= self.mp < self.Mp <= self.M):
-                raise BadBounds(
-                    f"need 0 < m <= m' < M' <= M, got {self.m}, {self.mp}, "
-                    f"{self.Mp}, {self.M}"
-                )
-        else:
-            vals = (self.m1, self.M1, self.m2, self.M2)
-            if any(v is None for v in vals):
-                raise BadBounds("reverse_ando bounds need m1, M1, m2, M2")
+        elif self.kind == "reverse_ando":
             if not (0.0 < self.m1 <= self.M1 and 0.0 < self.m2 <= self.M2):
                 raise BadBounds(
                     f"need 0 < m1 <= M1 and 0 < m2 <= M2, got "
                     f"{self.m1}, {self.M1}, {self.m2}, {self.M2}"
                 )
+        elif not (0.0 < self.m <= self.mp < self.Mp <= self.M):
+            raise BadBounds(
+                f"need 0 < m <= m' < M' <= M, got {self.m}, {self.mp}, "
+                f"{self.Mp}, {self.M}"
+            )
 
     @classmethod
     def common(cls, m: float, M: float) -> "SandwichBounds":
@@ -102,7 +106,7 @@ class SandwichBounds:
     @property
     def hp(self) -> float:
         """Inner condition ratio M'/m' (sandwich kinds)."""
-        if self.kind not in ("sandwich_B_low", "sandwich_A_low"):
+        if self.kind not in SANDWICH:
             raise BadBounds("h' = M'/m' needs sandwich bounds")
         return self.Mp / self.mp
 
@@ -132,17 +136,19 @@ class SandwichBounds:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for f in BOUND_FIELDS:
-            v = getattr(self, f)
-            if v is not None:
-                d[f] = v
+        for f in KIND_FIELDS[self.kind]:
+            d[f] = getattr(self, f)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SandwichBounds":
-        kind = d.get("kind")
-        fields = {k: d[k] for k in BOUND_FIELDS if k in d}
-        return cls(kind, **fields)
+        """Inverse of to_dict.  A key that names no bounds field, or a bound
+        that is not an int or float, raises MalformedSpec."""
+        values = {k: v for k, v in d.items() if k != "kind"}
+        for k, v in values.items():
+            if k not in BOUND_FIELDS or type(v) is bool or not isinstance(v, (int, float)):
+                raise MalformedSpec(f"bad bounds field {k!r}: {v!r}")
+        return cls(d.get("kind"), **values)
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,6 @@ def generalized_kantorovich(m: float, M: float, nu: float) -> GeneralizedKantoro
 # and, for the reverse-Ando family, reading (m, M) as the relevant
 # condition data directly (h := M/m).
 # ---------------------------------------------------------------------------
-
-SANDWICH = ("sandwich_B_low", "sandwich_A_low")
 
 
 def _hp_of(bounds: SandwichBounds) -> float:

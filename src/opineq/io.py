@@ -94,9 +94,16 @@ def matrix_to_obj(A: np.ndarray) -> dict:
 _BAD_PAYLOAD = (KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError)
 
 
+def _int(value) -> int:
+    """A payload integer: an int, not a bool, float or string."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _obj_to_array(obj: dict, shape_keys: tuple[str, ...]) -> np.ndarray:
     try:
-        shape = tuple(int(obj[k]) for k in shape_keys)
+        shape = tuple(_int(obj[k]) for k in shape_keys)
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros(re.shape)
     except _BAD_PAYLOAD as exc:
@@ -137,11 +144,11 @@ def map_to_obj(phi: MapSpec) -> dict:
 def obj_to_map(obj: dict) -> MapSpec:
     try:
         kind = obj["kind"]
-        n = int(obj["n"])
+        n = _int(obj["n"])
         if kind == "compression":
             return MapSpec(kind, n, obj_to_rect(obj["V"]))
         if kind == "pinching":
-            return MapSpec(kind, n, tuple(tuple(int(i) for i in b) for b in obj["blocks"]))
+            return MapSpec(kind, n, tuple(tuple(_int(i) for i in b) for b in obj["blocks"]))
         if kind == "unitary_mixture":
             terms = tuple(
                 (float(t["weight"]), obj_to_matrix(t["U"])) for t in obj["terms"]
@@ -168,8 +175,8 @@ def obj_to_instance(obj: dict) -> Instance:
             A=obj_to_matrix(obj["A"]),
             B=obj_to_matrix(obj["B"]),
             bounds=SandwichBounds.from_dict(obj["bounds"]),
-            seed=int(obj["seed"]),
-            n=int(obj["n"]),
+            seed=_int(obj["seed"]),
+            n=_int(obj["n"]),
         )
     except _BAD_PAYLOAD + (DimensionMismatch,) as exc:
         raise MalformedSpec(f"bad instance payload: {exc!r}") from exc

@@ -40,7 +40,9 @@ def arithmetic_mean(A, B, nu) -> np.ndarray:
 def geometric_mean(A, B, nu, spectrum: Optional[SpectralDecomposition] = None) -> np.ndarray:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^nu A^{1/2}.
 
-    A must be positive definite (SingularMatrix otherwise); B positive
+    A must be positive definite: an A with a negative eigenvalue raises
+    NotPositiveSemidefinite (A^{1/2} is gated first), a positive
+    semidefinite but singular A raises SingularMatrix.  B must be positive
     semidefinite (NotPositiveSemidefinite surfaces from the inner power).
     On stacks nu may hold one weight per matrix; `spectrum` is eigh(A) when
     the caller already has it.

@@ -260,28 +260,28 @@ class Instance:
             )
 
 
-def verify_instance(inst: Instance, slack: float = CONTAINMENT_SLACK) -> float:
+def verify_instance(inst: Instance) -> float:
     """Worst containment violation of the instance spectra (0 if inside).
 
-    Raises if the violation exceeds `slack`; the verifier refuses to check
-    unverified instances.
+    Raises if the violation exceeds CONTAINMENT_SLACK; the verifier refuses
+    to check unverified instances.
     """
     w, _ = eigh(np.stack([inst.A, inst.B]))
-    return float(verify_instances([inst], w[:1], w[1:], slack)[0])
+    return float(verify_instances([inst], w[:1], w[1:])[0])
 
 
-def verify_instances(instances, wA: np.ndarray, wB: np.ndarray,
-                     slack: float = CONTAINMENT_SLACK) -> np.ndarray:
+def verify_instances(instances, wA: np.ndarray, wB: np.ndarray) -> np.ndarray:
     """verify_instance over a stack: wA and wB hold the ascending eigenvalues
     of the instances' A and B, one row per instance.  Returns the worst
-    violation per instance; raises for the first instance past `slack`."""
+    violation per instance; raises for the first instance past
+    CONTAINMENT_SLACK."""
     worst = []
     for inst, a_min, a_max, b_min, b_max in zip(
         instances, wA[:, 0].tolist(), wA[:, -1].tolist(), wB[:, 0].tolist(), wB[:, -1].tolist()
     ):
         (a_lo, a_hi), (b_lo, b_hi) = inst.bounds.a_interval(), inst.bounds.b_interval()
         worst.append(max(0.0, a_lo - a_min, a_max - a_hi, b_lo - b_min, b_max - b_hi))
-        if worst[-1] > slack:
+        if worst[-1] > CONTAINMENT_SLACK:
             raise OpineqError(
                 f"instance spectrum escaped its hypothesis interval by {worst[-1]:.3e}"
             )

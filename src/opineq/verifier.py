@@ -91,8 +91,8 @@ class RegistryEntry:
     constant c.
     constant: (bounds, params) -> the scalar c the statement places in
     front of one side.
-    domain: (bounds, params) -> None, or the clause of the hypothesis the
-    case violates (spectral clauses beyond the kind, and the power range).
+    domain: (bounds, params) -> None, or the clause of the power range the
+    case violates.
     constant_left: c multiplies the left side instead of the right.
     nu_mode: "grid" (the weight is a free parameter), "half" (the display
     fixes nu = 1/2), or "any" (nu does not enter; echoed only).
@@ -101,7 +101,8 @@ class RegistryEntry:
     grid for interval-constrained powers.  "2a" means {2 alpha, 2 alpha + 1.5}.
     both_forms: the table row expands into -phi-inside and -phi-outside
     entries; `outside` marks the latter.
-    separated: reverse-Ando bounds are drawn with M1 < m2.
+    separated: the hypothesis asks M1 < m2 of reverse-Ando bounds, and the
+    suite draws them so.
     """
 
     ineq_id: str
@@ -152,12 +153,6 @@ def _p_at_least_2alpha(bounds, prm):
     if prm.p >= 2.0 * prm.alpha:
         return None
     return f"p >= 2*alpha, got p = {prm.p:g}, alpha = {prm.alpha:g}"
-
-
-def _separated(bounds, prm):
-    if bounds.kind != "reverse_ando" or bounds.M1 < bounds.m2:
-        return None  # comparison mode on common bounds reads h := M/m
-    return f"M1 < m2, got M1 = {bounds.M1:g}, m2 = {bounds.m2:g}"
 
 
 # --- sides ------------------------------------------------------------------
@@ -342,7 +337,7 @@ _TABLE: dict[str, RegistryEntry] = {row.ineq_id: row for row in (
     RegistryEntry("thm3.3-hprime", "mean comparison A nabla_nu B >= K^r(h') (A #_nu B) with the inner ratio",
                   SANDWICH, _amgm, C._c_thm33_hprime, constant_left=True, uses_phi=False),
     RegistryEntry("thm3.4", "claimed sharpening of the weighted reverse by the extra factor K(h)^{-r}",
-                  REVERSE, _reverse_domination, C._c_thm34, _separated, separated=True),
+                  REVERSE, _reverse_domination, C._c_thm34, separated=True),
 )}
 
 
@@ -376,7 +371,8 @@ def get_entry(ineq_id: str) -> RegistryEntry:
 def require_hypothesis(
     entry: RegistryEntry, bounds: SandwichBounds, params: CaseParams, comparison: bool = False
 ) -> None:
-    """Raise HypothesisNotMet unless the bounds kind and the domain admit the case.
+    """Raise HypothesisNotMet unless the bounds kind, a separated entry's
+    M1 < m2 on reverse-Ando bounds, and the domain admit the case.
 
     comparison=True also admits `common` bounds everywhere (h' := h) and
     sandwich bounds for entries stated on common bounds (read through the
@@ -388,6 +384,10 @@ def require_hypothesis(
     if bounds.kind not in entry.kinds and not widened:
         raise HypothesisNotMet(
             f"{entry.ineq_id} expects bounds of kind {'/'.join(entry.kinds)}, got {bounds.kind}"
+        )
+    if entry.separated and bounds.kind == "reverse_ando" and bounds.M1 >= bounds.m2:
+        raise HypothesisNotMet(
+            f"{entry.ineq_id} requires M1 < m2, got M1 = {bounds.M1:g}, m2 = {bounds.m2:g}"
         )
     clause = entry.domain(bounds, params) if entry.domain is not None else None
     if clause is not None:

@@ -128,6 +128,23 @@ def test_verify_bad_bounds_combination_exits_2(capsys):
                            "--m", "1", "--M", "4", "--m1", "1", "--M1", "2",
                            "--m2", "1", "--M2", "2")
     assert code == 2
+    for flags in [("--m", "1", "--m1", "1"), ("--M", "4"), ("--mp", "1.5", "--Mp", "2"),
+                  ("--m", "1", "--mp", "1.5", "--Mp", "2"), ("--m1", "1", "--M1", "2", "--m2", "1")]:
+        code, _, err = run_cli(capsys, "verify", "--ineq", "amgm", *flags)
+        assert code == 2
+        assert "--m --M, --m --mp --Mp --M, --m1 --M1 --m2 --M2" in err
+
+
+@pytest.mark.parametrize("ineq, flags, kind", [
+    ("amgm,lin", ("--m", "1", "--M", "4"), "common"),
+    ("thm2.7-phi-inside,lemma2.3", ("--m", "1", "--mp", "1.5", "--Mp", "2", "--M", "4"),
+     "sandwich_B_low"),
+    ("thm1.3-phi-inside", ("--m", "1", "--mp", "1.5", "--Mp", "2", "--M", "4"), "sandwich_A_low"),
+    ("seo,thm3.4", ("--m1", "1", "--M1", "1.2", "--m2", "1.5", "--M2", "2"), "reverse_ando"),
+])
+def test_bounds_flags_pick_the_kind(ineq, flags, kind):
+    args = cli._parser().parse_args(["verify", "--ineq", ineq, *flags])
+    assert cli._bounds_from_args(args, args.ineq).kind == kind
 
 
 @pytest.mark.parametrize("argv", [

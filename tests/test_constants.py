@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq.constants import (
+    BOUND_FIELDS,
     CaseParams,
     SandwichBounds,
     generalized_kantorovich,
@@ -148,6 +149,41 @@ def test_sandwich_bounds_roundtrip():
         SandwichBounds.reverse_ando(1.0, 1.2, 2.0, 2.5),
     ):
         assert SandwichBounds.from_dict(b.to_dict()) == b
+
+
+_GOOD_BOUNDS = {
+    "common": {"m": 1.0, "M": 4.0},
+    "sandwich_B_low": {"m": 1.0, "mp": 1.5, "Mp": 2.0, "M": 4.0},
+    "sandwich_A_low": {"m": 1.0, "mp": 1.5, "Mp": 2.0, "M": 4.0},
+    "reverse_ando": {"m1": 1.0, "M1": 1.2, "m2": 1.5, "M2": 2.0},
+}
+_ORDER_VIOLATIONS = {
+    "common": [{"m": 0.0}, {"m": 5.0}],
+    "sandwich_B_low": [{"m": 0.0}, {"m": 1.6}, {"mp": 2.0}, {"M": 1.9}],
+    "sandwich_A_low": [{"m": 0.0}, {"m": 1.6}, {"mp": 2.0}, {"M": 1.9}],
+    "reverse_ando": [{"m1": 0.0}, {"m1": 1.3}, {"m2": 0.0}, {"m2": 2.5}],
+}
+
+
+def _bad_bounds():
+    """(kind, fields) with one field missing, one field of another kind
+    set, or one order clause broken."""
+    for kind, good in _GOOD_BOUNDS.items():
+        for name in good:
+            yield kind, {k: v for k, v in good.items() if k != name}
+        for name in BOUND_FIELDS:
+            if name not in good:
+                yield kind, {**good, name: 1.5}
+        for change in _ORDER_VIOLATIONS[kind]:
+            yield kind, {**good, **change}
+
+
+@pytest.mark.parametrize("kind, fields", list(_bad_bounds()))
+def test_bounds_missing_stray_or_disordered_fields_raise(kind, fields):
+    with pytest.raises(BadBounds):
+        SandwichBounds(kind, **fields)
+    with pytest.raises(BadBounds):
+        SandwichBounds.from_dict({"kind": kind, **fields})
 
 
 def test_case_params_validation():

@@ -181,9 +181,18 @@ _BOUNDS = SandwichBounds.common(0.5, 2.0).to_dict()
         (obj_to_instance, {"n": 2, "seed": 0, "bounds": [], "A": _U2, "B": _U2}),
         (obj_to_instance, {"n": 7, "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U2}),
         (obj_to_instance, {"n": 2, "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U3}),
+        (obj_to_map, {"kind": "identity", "n": 2.7}),
+        (obj_to_map, {"kind": "pinching", "n": 2, "blocks": [[0, True]]}),
+        (obj_to_instance, {"n": 2, "seed": 1.9, "bounds": _BOUNDS, "A": _U2, "B": _U2}),
+        (obj_to_instance, {"n": "2", "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U2}),
+        (obj_to_rect, {"rows": 2.9, "cols": True, "re": [[1.0], [0.0]]}),
+        (obj_to_instance, {"n": 2, "seed": 0, "bounds": {**_BOUNDS, "Mx": 5.0}, "A": _U2, "B": _U2}),
+        (obj_to_instance, {"n": 2, "seed": 0, "bounds": {**_BOUNDS, "m": True}, "A": _U2, "B": _U2}),
     ],
     ids=["pinching-without-blocks", "term-without-weight", "compression-without-V",
-         "bounds-not-an-object", "n-disagrees-with-matrices", "A-and-B-differ-in-size"],
+         "bounds-not-an-object", "n-disagrees-with-matrices", "A-and-B-differ-in-size",
+         "map-n-a-float", "pinching-index-a-bool", "seed-a-float", "n-a-string",
+         "rows-and-cols-not-integers", "bounds-unknown-key", "bound-a-bool"],
 )
 def test_loaders_reject_malformed_payloads(loader, payload):
     with pytest.raises(MalformedSpec):

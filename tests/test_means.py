@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opineq.errors import (
     BadBounds,
     DimensionMismatch,
+    NotPositiveSemidefinite,
     SingularMatrix,
     WeightOutOfRange,
 )
@@ -140,6 +141,8 @@ def test_mean_errors():
         geometric_mean(I2, np.eye(3), 0.5)
     with pytest.raises(SingularMatrix):
         geometric_mean(np.diag([0.0, 1.0]), I2, 0.5)
+    with pytest.raises(NotPositiveSemidefinite):  # A^{1/2} is gated before A^{-1/2}
+        geometric_mean(np.diag([-1.0, 1.0]), I2, 0.5)
 
 
 def test_geometric_mean_congruence_invariance():
