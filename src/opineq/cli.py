@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``selftest`` (the built-in full-registry run), ``verify``
+Subcommands: ``selftest`` (``verify`` over the whole registry), ``verify``
 (a suite restricted to chosen inequalities, optionally on fixed bounds),
 ``compare`` (constant ratios), ``search`` (tightness search), and ``gen``
 (emit a sampled instance).
@@ -99,45 +99,28 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _report_exit(report, out, fmt, quiet=False) -> int:
-    text = report.to_csv() if fmt == "csv" else report.to_json()
-    _emit(text, out)
-    if out and not quiet:
-        total = report.total_failures()
-        print(f"report written to {out}; {len(report.cases)} cases, "
-              f"{total} failures ({report.asserted_failures} on asserted inequalities)")
-    return 1 if report.asserted_failures else 0
-
-
-def _cmd_selftest(args) -> int:
+def _cmd_suite(args) -> int:
+    """selftest and verify: selftest is verify over the whole registry
+    (ids None) with no grids, bounds or forced endpoints."""
     cfg = SuiteConfig(
-        dims=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        workers=args.workers,
-    )
-    report = run_suite(cfg)
-    return _report_exit(report, args.out, args.format)
-
-
-def _cmd_verify(args) -> int:
-    ids = args.ineq
-    cfg = SuiteConfig(
-        ids=ids,
+        ids=args.ineq,
         dims=args.n,
         trials=args.trials,
         seed=args.seed,
         tol=args.tol,
         force_endpoints=args.force_endpoints,
-        fixed_bounds=_bounds_from_args(args, ids),
+        fixed_bounds=_bounds_from_args(args, args.ineq),
         nu_grid=args.nu,
         p_grid=args.p,
         alpha_grid=args.alpha,
         workers=args.workers,
     )
     report = run_suite(cfg)
-    return _report_exit(report, args.out, args.format, quiet=args.out is None)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    if args.out:
+        print(f"report written to {args.out}; {len(report.cases)} cases, "
+              f"{report.total_failures()} failures ({report.asserted_failures} on asserted inequalities)")
+    return 1 if report.asserted_failures else 0
 
 
 def _cmd_compare(args) -> int:
@@ -187,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="run the built-in full-registry suite")
     _add_suite_flags(st, trials=100, out=SELFTEST_REPORT)
-    st.set_defaults(fn=_cmd_selftest)
+    st.set_defaults(fn=_cmd_suite, ineq=None, nu=None, p=None, alpha=None,
+                    force_endpoints=False, **dict.fromkeys(BOUND_FIELDS))
 
     vf = sub.add_parser("verify", help="run a suite over chosen inequalities")
     vf.add_argument("--ineq", type=_id_list, required=True, metavar="ID[,ID...]")
@@ -197,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--alpha", type=_float_list, default=None, metavar="LIST")
     vf.add_argument("--force-endpoints", action="store_true")
     _add_bounds_flags(vf)
-    vf.set_defaults(fn=_cmd_verify)
+    vf.set_defaults(fn=_cmd_suite)
 
     cp = sub.add_parser("compare", help="ratio of two bound constants on shared bounds")
     cp.add_argument("--a", required=True, metavar="ID")
@@ -241,7 +225,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OpineqError as exc:
+    except (OpineqError, MemoryError) as exc:
+        # a dimension too large to allocate is bad input, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,11 +101,31 @@ def _int(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A payload real: an int or float, not a bool or string."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _only(obj: dict, keys: tuple[str, ...]) -> None:
+    """Reject a key the matching writer does not emit."""
+    stray = [k for k in obj if k not in keys]
+    if stray:
+        raise MalformedSpec(f"unexpected payload keys {stray!r}")
+
+
+def _grid_of(rows) -> np.ndarray:
+    """A payload grid: rows of reals (see _real)."""
+    return np.array([[_real(x) for x in row] for row in rows])
+
+
 def _obj_to_array(obj: dict, shape_keys: tuple[str, ...]) -> np.ndarray:
     try:
+        _only(obj, shape_keys + ("re", "im"))
         shape = tuple(_int(obj[k]) for k in shape_keys)
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros(re.shape)
+        re = _grid_of(obj["re"])
+        im = _grid_of(obj["im"]) if "im" in obj else np.zeros(re.shape)
     except _BAD_PAYLOAD as exc:
         raise MalformedSpec(f"bad matrix payload: {exc!r}") from exc
     for name, part in (("re", re), ("im", im)):
@@ -141,22 +161,29 @@ def map_to_obj(phi: MapSpec) -> dict:
     return obj
 
 
+# The key each map kind's payload sits under, beside "kind" and "n".
+_PAYLOAD_KEYS = {"compression": ("V",), "pinching": ("blocks",), "unitary_mixture": ("terms",)}
+
+
 def obj_to_map(obj: dict) -> MapSpec:
     try:
         kind = obj["kind"]
         n = _int(obj["n"])
+        _only(obj, ("kind", "n") + _PAYLOAD_KEYS.get(kind, ()))
         if kind == "compression":
             return MapSpec(kind, n, obj_to_rect(obj["V"]))
         if kind == "pinching":
             return MapSpec(kind, n, tuple(tuple(_int(i) for i in b) for b in obj["blocks"]))
         if kind == "unitary_mixture":
-            terms = tuple(
-                (float(t["weight"]), obj_to_matrix(t["U"])) for t in obj["terms"]
-            )
-            return MapSpec(kind, n, terms)
+            return MapSpec(kind, n, tuple(_obj_to_term(t) for t in obj["terms"]))
         return MapSpec(kind, n)
     except _BAD_PAYLOAD as exc:
         raise MalformedSpec(f"bad map payload: {exc!r}") from exc
+
+
+def _obj_to_term(obj: dict) -> tuple[float, np.ndarray]:
+    _only(obj, ("weight", "U"))
+    return _real(obj["weight"]), obj_to_matrix(obj["U"])
 
 
 def instance_to_obj(inst: Instance) -> dict:
@@ -171,6 +198,7 @@ def instance_to_obj(inst: Instance) -> dict:
 
 def obj_to_instance(obj: dict) -> Instance:
     try:
+        _only(obj, ("n", "seed", "bounds", "A", "B"))
         return Instance(
             A=obj_to_matrix(obj["A"]),
             B=obj_to_matrix(obj["B"]),
@@ -180,13 +208,3 @@ def obj_to_instance(obj: dict) -> Instance:
         )
     except _BAD_PAYLOAD + (DimensionMismatch,) as exc:
         raise MalformedSpec(f"bad instance payload: {exc!r}") from exc
-
-
-def save_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
-
-
-def load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

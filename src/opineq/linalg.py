@@ -46,16 +46,9 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_matrix(A) -> np.ndarray:
-    """Coerce to a square complex128 array without copying when possible."""
-    M = np.asarray(A, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
 def as_square(A) -> np.ndarray:
-    """as_matrix, also accepting a (T, n, n) stack; T may be 0, n may not."""
+    """Coerce a square matrix, or a (T, n, n) stack of them, to complex128
+    without copying when possible; T may be 0, n may not."""
     M = np.asarray(A, dtype=np.complex128)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")

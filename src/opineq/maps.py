@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedSpec, UnknownKind
-from .linalg import as_matrix, eigh, identity, op_norm
+from .linalg import as_square, eigh, identity, op_norm
 from .sampler import SplitMix64, derive_seed, derive_seeds, haar_stack, sample_constrained
 
 MAP_KINDS = (
@@ -122,7 +122,7 @@ def _structural_check(phi: MapSpec):
 def apply_map(phi: MapSpec, A) -> np.ndarray:
     """Apply the map; linear, PSD-preserving, unital by construction.  The
     matrix is a stack of one for apply_maps."""
-    return apply_maps([phi], as_matrix(A)[None])[0]
+    return apply_maps([phi], as_square(A)[None])[0]
 
 
 def apply_maps(phis, X) -> np.ndarray:

@@ -235,6 +235,21 @@ def test_unwritable_out_exits_2_naming_the_path(capsys, tmp_path, argv):
     assert not out_path.parent.exists()
 
 
+# numpy refuses a 10^8 x 10^8 complex matrix (142 PiB) before touching memory
+@pytest.mark.parametrize("argv", [
+    ("gen", "--n", "100000000", "--m", "1", "--M", "2"),
+    ("verify", "--ineq", "amgm", "--n", "100000000", "--trials", "1"),
+    ("verify", "--ineq", "amgm,lin", "--n", "100000000", "--trials", "1", "--workers", "2"),
+], ids=["gen", "verify", "verify-workers2"])
+def test_impossible_dimension_exits_2(capsys, argv):
+    """A dimension too large to allocate is bad input, not a failed
+    inequality; under --workers the worker's MemoryError reaches main."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Unable to allocate" in err
+    assert out == ""
+
+
 def test_help_lists_registry_ids(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -262,6 +277,18 @@ def test_selftest_tiny_run(capsys, tmp_path):
     assert bad_ids <= {"thm3.4", "lee-printed", "thm3.3", "lh-p2-demo",
                        "thm2.9-proof-phi-inside", "thm2.9-proof-phi-outside"}
     assert code == (1 if "thm3.4" in bad_ids else 0)
+
+
+def test_selftest_is_verify_over_every_id(capsys, tmp_path):
+    """selftest writes the bytes, and exits with the code, of verify over
+    every registry id at the same seed, trials and dimensions."""
+    common = ("--seed", "5", "--trials", "2", "--n", "2,3")
+    self_path, verify_path = tmp_path / "selftest.json", tmp_path / "verify.json"
+    self_code, _, _ = run_cli(capsys, "selftest", *common, "--out", str(self_path))
+    verify_code, _, _ = run_cli(capsys, "verify", "--ineq", ",".join(registry_ids()), *common,
+                                "--out", str(verify_path))
+    assert self_path.read_bytes() == verify_path.read_bytes()
+    assert self_code == verify_code
 
 
 REUSE_CALLS = (

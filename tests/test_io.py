@@ -20,8 +20,6 @@ from opineq.io import (
     obj_to_matrix,
     obj_to_rect,
     rect_to_obj,
-    save_json,
-    load_json,
 )
 from opineq.maps import MAP_KINDS, apply_map, random_map
 from opineq.sampler import sample_instance
@@ -161,15 +159,10 @@ def test_dumps_canonical_on_reports_records_and_config_payloads():
         assert dumps_canonical(c.hash_payload()) == _json_reference(c.hash_payload())
 
 
-def test_save_load_json(tmp_path):
-    path = tmp_path / "x.json"
-    save_json(str(path), {"k": [1, 2, 3]})
-    assert load_json(str(path)) == {"k": [1, 2, 3]}
-
-
 _U2 = {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
 _U3 = {"n": 3, "re": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 _BOUNDS = SandwichBounds.common(0.5, 2.0).to_dict()
+_TERM = {"weight": 1.0, "U": _U2}
 
 
 @pytest.mark.parametrize(
@@ -188,11 +181,24 @@ _BOUNDS = SandwichBounds.common(0.5, 2.0).to_dict()
         (obj_to_rect, {"rows": 2.9, "cols": True, "re": [[1.0], [0.0]]}),
         (obj_to_instance, {"n": 2, "seed": 0, "bounds": {**_BOUNDS, "Mx": 5.0}, "A": _U2, "B": _U2}),
         (obj_to_instance, {"n": 2, "seed": 0, "bounds": {**_BOUNDS, "m": True}, "A": _U2, "B": _U2}),
+        (obj_to_matrix, {"n": 2, "re": [["1", False], [False, True]]}),
+        (obj_to_matrix, {"n": 2, "re": [[1.0, True], [0.0, 1.0]]}),
+        (obj_to_matrix, {"n": 1, "re": [[1.0]], "im": [["0"]]}),
+        (obj_to_map, {"kind": "unitary_mixture", "n": 2, "terms": [{**_TERM, "weight": True}]}),
+        (obj_to_map, {"kind": "unitary_mixture", "n": 2, "terms": [{**_TERM, "weight": "1"}]}),
+        (obj_to_map, {"kind": "identity", "n": 2, "V": 5}),
+        (obj_to_map, {"kind": "unitary_mixture", "n": 2, "terms": [{**_TERM, "x": 0}]}),
+        (obj_to_matrix, {"n": 1, "re": [[1.0]], "junk": 3}),
+        (obj_to_rect, {"rows": 1, "cols": 1, "re": [[1.0]], "n": 1}),
+        (obj_to_instance, {"n": 2, "seed": 0, "bounds": _BOUNDS, "A": _U2, "B": _U2, "zzz": 0}),
     ],
     ids=["pinching-without-blocks", "term-without-weight", "compression-without-V",
          "bounds-not-an-object", "n-disagrees-with-matrices", "A-and-B-differ-in-size",
          "map-n-a-float", "pinching-index-a-bool", "seed-a-float", "n-a-string",
-         "rows-and-cols-not-integers", "bounds-unknown-key", "bound-a-bool"],
+         "rows-and-cols-not-integers", "bounds-unknown-key", "bound-a-bool",
+         "entries-strings-and-bools", "entry-a-bool", "im-entry-a-string",
+         "weight-a-bool", "weight-a-string", "map-stray-key", "term-stray-key",
+         "matrix-stray-key", "rect-stray-key", "instance-stray-key"],
 )
 def test_loaders_reject_malformed_payloads(loader, payload):
     with pytest.raises(MalformedSpec):
