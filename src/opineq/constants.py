@@ -10,6 +10,7 @@ CaseParams, shared by the sampler and the verifier.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -33,6 +34,11 @@ KIND_FIELDS = {
 BOUND_KINDS = tuple(KIND_FIELDS)
 BOUND_FIELDS = ("m", "mp", "Mp", "M", "m1", "M1", "m2", "M2")
 SANDWICH = ("sandwich_B_low", "sandwich_A_low")
+
+
+def _real(value) -> bool:
+    """An int or float, numpy scalars included, and not a bool."""
+    return type(value) is float or (type(value) is not bool and isinstance(value, numbers.Real))
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,8 @@ class SandwichBounds:
             v = getattr(self, name)
             if (v is None) == (name in fields):  # a field of the kind unset, or another's set
                 raise BadBounds(f"{self.kind} bounds take {', '.join(fields)}, got {name} = {v}")
-            if v is not None and not math.isfinite(v):
-                raise BadBounds(f"bound {name} must be finite, got {v}")
+            if v is not None and not (_real(v) and math.isfinite(v)):
+                raise BadBounds(f"bound {name} must be a finite number, got {v!r}")
         if self.kind == "common":
             if not (0.0 < self.m <= self.M):
                 raise BadBounds(f"need 0 < m <= M, got m={self.m}, M={self.M}")
@@ -146,7 +152,7 @@ class SandwichBounds:
         that is not an int or float, raises MalformedSpec."""
         values = {k: v for k, v in d.items() if k != "kind"}
         for k, v in values.items():
-            if k not in BOUND_FIELDS or type(v) is bool or not isinstance(v, (int, float)):
+            if k not in BOUND_FIELDS or not _real(v):
                 raise MalformedSpec(f"bad bounds field {k!r}: {v!r}")
         return cls(d.get("kind"), **values)
 
@@ -161,13 +167,13 @@ class CaseParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.nu <= 1.0:
-            raise WeightOutOfRange(f"nu must be in [0, 1], got {self.nu}")
+        if not (_real(self.nu) and 0.0 <= self.nu <= 1.0):
+            raise WeightOutOfRange(f"nu must be in [0, 1], got {self.nu!r}")
         # alpha before p: an entry may derive p from alpha (p = 2 alpha)
-        if not 1.0 <= self.alpha <= 2.0:
-            raise ConfigInvalid(f"alpha must be in [1, 2], got {self.alpha}")
-        if not 0.0 <= self.p < math.inf:
-            raise ConfigInvalid(f"p must be finite and >= 0, got {self.p}")
+        if not (_real(self.alpha) and 1.0 <= self.alpha <= 2.0):
+            raise ConfigInvalid(f"alpha must be in [1, 2], got {self.alpha!r}")
+        if not (_real(self.p) and 0.0 <= self.p < math.inf):
+            raise ConfigInvalid(f"p must be finite and >= 0, got {self.p!r}")
 
     def to_dict(self) -> dict:
         return {"nu": self.nu, "p": self.p, "alpha": self.alpha}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedSpec, UnknownKind
 from .linalg import as_square, eigh, identity, op_norm
-from .sampler import SplitMix64, derive_seed, derive_seeds, haar_stack, sample_constrained
+from .sampler import SplitMix64, derive_seed, derive_seeds, haar_stack, sample_stack
 
 MAP_KINDS = (
     "identity",
@@ -120,24 +120,17 @@ def _structural_check(phi: MapSpec):
 
 
 def apply_map(phi: MapSpec, A) -> np.ndarray:
-    """Apply the map; linear, PSD-preserving, unital by construction.  The
-    matrix is a stack of one for apply_maps."""
-    return apply_maps([phi], as_square(A)[None])[0]
-
-
-def apply_maps(phis, X) -> np.ndarray:
-    """Each matrix of the (T, n, n) stack X under its own map, re-stacked:
-    one map per matrix, all sharing one output dimension (see map_plan)."""
-    X = np.asarray(X, dtype=np.complex128)
-    if X.ndim != 3 or len(phis) != len(X):
-        raise DimensionMismatch(f"need one map per matrix, got {len(phis)} for shape {X.shape}")
-    return map_plan(phis, X.shape[-1])(X)
+    """Apply the map to a matrix, or to each matrix of a (T, n, n) stack;
+    linear, PSD-preserving, unital by construction.  The plan of the one
+    map (see map_plan) broadcasts over the stack."""
+    X = as_square(A)
+    return map_plan([phi], X.shape[-1])(X[..., None, :, :])[..., 0, :, :]
 
 
 def map_plan(phis, n: int):
-    """apply_maps for the maps phis of dimension n, grouped once: the
-    returned function maps a (T, n, n) stack, matrix i under phis[i], or S
-    such stacks at once as (S, T, n, n).
+    """The maps phis of dimension n, all of one output dimension, grouped
+    once: the returned function maps a (T, n, n) stack, matrix i under
+    phis[i], or S such stacks at once as (S, T, n, n).
 
     The block-diagonal kinds run as one masked copy over their stacked
     masks (each spec's mask is made once), the trace averages as one
@@ -215,28 +208,24 @@ class MapValidation:
 
 
 def validate_map(phi: MapSpec, trials: int = 20, seed: int = 0) -> MapValidation:
-    """Certify unitality, positivity on random PSD inputs, and linearity."""
+    """Certify unitality, positivity on random PSD inputs, and linearity.
+    Each trial draws its P, X and Y seeds and its weight c in turn from one
+    stream; the trials are then sampled, mapped and decomposed as stacks."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise MalformedSpec(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise MalformedSpec(f"need trials >= 1, got {trials}")
-    k = phi.out_dim
-    unital = op_norm(apply_map(phi, identity(phi.n)) - identity(k))
+    unital = op_norm(apply_map(phi, identity(phi.n)) - identity(phi.out_dim))
     rng = SplitMix64(derive_seed(seed, "validate", phi.kind))
-    worst_pos = np.inf
-    lin = 0.0
-    for t in range(trials):
-        P = sample_constrained(phi.n, 0.5, 2.0, rng.next_u64())
-        w, _ = eigh(apply_map(phi, P))
-        worst_pos = min(worst_pos, float(w[0]))
-        X = sample_constrained(phi.n, 0.5, 2.0, rng.next_u64())
-        Y = sample_constrained(phi.n, 0.5, 2.0, rng.next_u64())
-        c = rng.uniform(-2.0, 2.0)
-        resid = op_norm(
-            apply_map(phi, X + c * Y) - apply_map(phi, X) - c * apply_map(phi, Y)
-        )
-        lin = max(lin, resid)
-    pos_residual = max(0.0, -worst_pos)
-    passed = max(unital, pos_residual, lin) <= RESIDUAL_TOL
-    return MapValidation(unital, float(worst_pos), lin, passed)
+    *seeds, c = zip(*[(rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.uniform(-2.0, 2.0))
+                      for _ in range(trials)])
+    P, X, Y = (sample_stack(phi.n, [0.5] * trials, [2.0] * trials, s) for s in seeds)
+    c = np.array(c)[:, None, None]
+    worst_pos = float(eigh(apply_map(phi, P)).eigenvalues[:, 0].min())
+    lin = float(op_norm(apply_map(phi, X + c * Y) - apply_map(phi, X) - c * apply_map(phi, Y)).max())
+    passed = max(unital, -worst_pos, lin) <= RESIDUAL_TOL
+    return MapValidation(unital, worst_pos, lin, passed)
 
 
 def random_map(n: int, kind: str, seed: int) -> MapSpec:

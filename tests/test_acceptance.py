@@ -200,6 +200,28 @@ def test_criterion4_refinement_ratios():
         assert compare_constants("thm3.4", "seo", rb, CaseParams(nu=nu_eq)) == 1.0
     assert compare_constants("thm3.4", "seo", rb, CaseParams(nu=0.5)) < 1.0 - 1e-6
 
+    # the candidate improvements of ROADMAP item 7(b): (refinement, baseline,
+    # bounds kind, p range, the weights where the strengthening exponent
+    # vanishes)
+    candidates = (
+        ("thm2.4", "lin-squared", "sandwich_B_low", (2.0, 2.0), (0.0, 0.5, 1.0)),  # r1 = 0
+        ("cor2.6", "lin-power", "sandwich_B_low", (0.05, 2.0), (0.0, 0.5, 1.0)),  # r1 = 0
+        ("zhang-refined", "zhang", "sandwich_A_low", (4.0, 7.0), (0.0, 1.0)),  # r = 0
+        ("thm1.3", "thm1.1", "sandwich_A_low", (2.0, 6.0), (0.0, 1.0)),  # r = 0
+        ("thm3.3-hprime", "thm3.3", "sandwich_B_low", (1.0, 1.0), (0.0, 1.0)),  # r = 0
+    )
+    for better, base, kind, (p_lo, p_hi), nus_eq in candidates:
+        for _ in range(100):
+            s = _random_sandwich(rng)
+            b = SandwichBounds(kind, m=s.m, mp=s.mp, Mp=s.Mp, M=s.M)
+            prm = CaseParams(nu=rng.next_float(), p=rng.uniform(p_lo, p_hi))
+            assert compare_constants(better, base, b, prm) <= 1.0 + 1e-12, (better, b, prm)
+        b = SandwichBounds(kind, m=1.0, mp=1.4, Mp=2.1, M=4.0)
+        for p in (p_lo, p_hi):
+            for nu_eq in nus_eq:
+                assert compare_constants(better, base, b, CaseParams(nu=nu_eq, p=p)) == 1.0
+            assert compare_constants(better, base, b, CaseParams(nu=0.25, p=p)) < 1.0 - 1e-6
+
 
 def test_criterion5_norm_refinement():
     """||Phi(A nabla_nu B)^p|| <= ||Phi(bracket)^p|| + 1e-9 when r > 0."""

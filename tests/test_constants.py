@@ -140,6 +140,12 @@ def test_sandwich_bounds_validation():
         SandwichBounds("nonsense", m=1.0, M=2.0)
     with pytest.raises(BadBounds):
         SandwichBounds.common(1.0, 4.0).hp  # no inner interval
+    # a bound is an int or float, numpy scalars included, never a bool or string
+    for m in (True, np.True_, "1", 1 + 0j):
+        with pytest.raises(BadBounds):
+            SandwichBounds("common", m=m, M=4.0)
+    for m, M in ((1, 4), (np.float32(1.0), np.int64(4)), (np.float64(1.0), 4.0)):
+        assert SandwichBounds("common", m=m, M=M).h == 4.0
 
 
 def test_sandwich_bounds_roundtrip():
@@ -195,6 +201,16 @@ def test_case_params_validation():
         CaseParams(p=-1.0)
     with pytest.raises(ConfigInvalid):
         CaseParams(alpha=2.5)
+    # each field is an int or float, numpy scalars included, never a bool or string
+    for bad in (True, "0.5", None):
+        with pytest.raises(WeightOutOfRange):
+            CaseParams(nu=bad)
+    for field in ("p", "alpha"):
+        for bad in (True, np.True_, "1", None):
+            with pytest.raises(ConfigInvalid):
+                CaseParams(**{field: bad})
+    assert CaseParams(nu=np.float64(0.25), p=np.int64(2), alpha=1).to_dict() == {
+        "nu": 0.25, "p": 2, "alpha": 1}
 
 
 def test_bound_constant_examples():

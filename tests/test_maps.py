@@ -9,7 +9,7 @@ from opineq.maps import (
     MAP_KINDS,
     MapSpec,
     apply_map,
-    apply_maps,
+    map_plan,
     random_map,
     random_maps,
     validate_map,
@@ -63,6 +63,15 @@ def test_all_kinds_pass_certification():
             assert report.unitality_residual <= 1e-9
             assert report.worst_positivity_gap >= -1e-9
             assert report.linearity_residual <= 1e-9
+
+
+def test_validate_map_takes_integer_counts():
+    phi = MapSpec("identity", 2)
+    for kwargs in ({"trials": 2.5}, {"trials": "3"}, {"trials": True}, {"trials": 0},
+                   {"seed": 1.5}, {"seed": "0"}, {"seed": False}):
+        with pytest.raises(MalformedSpec):
+            validate_map(phi, **kwargs)
+    assert validate_map(phi, trials=1, seed=2**64 + 1).passed
 
 
 def test_random_map_deterministic():
@@ -217,11 +226,11 @@ def test_block_diagonal_maps_match_index_copy_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
 def test_apply_maps_is_apply_map_slice_by_slice(n):
-    """A stack under mixed maps of every kind has, slice by slice, the bits
-    apply_map gives each matrix alone and the bits of the one-matrix oracle
-    (tests/oracles.py), negative zeros included; stacks are split by output
-    dimension, as the verifier splits them, and mix unitary mixtures of two
-    and three terms."""
+    """A stack under mixed maps of every kind, applied by one map_plan, has,
+    slice by slice, the bits apply_map gives each matrix alone and the bits
+    of the one-matrix oracle (tests/oracles.py), negative zeros included;
+    stacks are split by output dimension, as the verifier splits them, and
+    mix unitary mixtures of two and three terms."""
     kinds = [MAP_KINDS[t % len(MAP_KINDS)] for t in range(8 * len(MAP_KINDS))]
     phis = random_maps(n, kinds, [derive_seed(3, "apply", n, t) for t in range(len(kinds))])
     rng = np.random.default_rng(n)
@@ -233,7 +242,7 @@ def test_apply_maps_is_apply_map_slice_by_slice(n):
         by_dim.setdefault(phi.out_dim, []).append(i)
     seen = set()
     for k, rows in by_dim.items():
-        got = apply_maps([phis[i] for i in rows], X[rows])
+        got = map_plan([phis[i] for i in rows], n)(X[rows])
         assert (got.dtype, got.shape) == (np.complex128, (len(rows), k, k))
         for i, G in zip(rows, got):
             ref = apply_map(phis[i], X[i])
@@ -246,19 +255,33 @@ def test_apply_maps_is_apply_map_slice_by_slice(n):
     assert {len(phi.payload) for phi in phis if phi.kind == "unitary_mixture"} == {2, 3}
 
 
-def test_apply_maps_checks_the_dimension():
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_apply_map_maps_each_matrix_of_a_stack(n):
+    """apply_map on a (T, n, n) stack gives (T, k, k), each slice with the
+    bits of the one-matrix call, for every kind; an empty stack gives an
+    empty result."""
+    rng = np.random.default_rng(100 + n)
+    X = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+    X.real[:, ::2, 1::2] = -0.0
+    for kind in MAP_KINDS:
+        phi = random_map(n, kind, seed=5)
+        k = phi.out_dim
+        got = apply_map(phi, X)
+        assert (got.dtype, got.shape) == (np.complex128, (7, k, k)), kind
+        for M, G in zip(X, got):
+            assert G.tobytes() == apply_map(phi, M).tobytes(), phi.describe()
+        assert apply_map(phi, X[:0]).shape == (0, k, k)
+
+
+def test_map_plan_checks_the_dimension():
     with pytest.raises(DimensionMismatch):
-        apply_maps([MapSpec("identity", 3)] * 2, np.zeros((2, 2, 2)))
+        map_plan([MapSpec("identity", 3)] * 2, 2)
 
 
-def test_apply_maps_takes_one_map_per_matrix():
-    X = np.stack([np.eye(3)] * 3)
-    for phis, M in (([MapSpec("identity", 3)], X), ([], X), ([MapSpec("identity", 3)], X[0])):
-        with pytest.raises(DimensionMismatch, match="one map per matrix"):
-            apply_maps(phis, M)
-    assert apply_maps([], X[:0]).shape == (0, 3, 3)
+def test_map_plan_takes_one_output_dimension():
+    assert map_plan([], 3)(np.zeros((0, 3, 3))).shape == (0, 3, 3)
     V = random_map(3, "compression", 5)
     assert V.out_dim < 3
     for phis in ([V, MapSpec("identity", 3)], [MapSpec("identity", 3), V]):
         with pytest.raises(DimensionMismatch, match="output dimensions"):
-            apply_maps(phis, X[:2])
+            map_plan(phis, 3)

@@ -565,3 +565,29 @@ def test_search_admits_each_candidate_once(monkeypatch):
         evaluations += tightness_search(ineq_id, budget=120, seed=1, n=2).evaluations
     assert evaluations == 480
     assert len(admitted) == evaluations + len(lone)
+
+
+def test_benchmark_configs_reach_check_case(monkeypatch):
+    """The sweep config, the n = 16 config and the search over every id each
+    call verifier.check_case (through the lone-row route of check_rows, or
+    for a failing case): perfbench's verifier.accept_ratio divides by these
+    calls.  ROADMAP item 9 has the benchmark count check_rows instead; this
+    test goes with the lone-row route then."""
+    calls = []
+    real_check_case = verifier.check_case
+
+    def check_case_spy(case, tol=verifier.DEFAULT_TOL):
+        calls.append(case.ineq_id)
+        return real_check_case(case, tol)
+
+    monkeypatch.setattr(verifier, "check_case", check_case_spy)
+    monkeypatch.setattr(suite, "check_case", check_case_spy)
+    counts = []
+    for cfg in (SuiteConfig(trials=6, seed=1), SuiteConfig(dims=(16,), trials=1, seed=1)):
+        run_suite(cfg)
+        counts.append(len(calls))
+        calls.clear()
+    for ineq_id in verifier.registry_ids():
+        tightness_search(ineq_id, budget=120, seed=1, n=2)
+    counts.append(len(calls))
+    assert min(counts) > 0, counts
