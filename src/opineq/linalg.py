@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     NonHermitianInput,
     NotPositiveSemidefinite,
@@ -119,7 +120,7 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
     t >= 0 requires PSD (eigenvalues within -1e-10*(1+lam_max) are clamped
     to zero, below that raises NotPositiveSemidefinite); t < 0 additionally
     requires lam_min > 1e-12 * lam_max, else SingularMatrix.  t in {0, 1}
-    needs no decomposition.
+    needs no decomposition.  A non-finite t raises ConfigInvalid.
 
     On a stack, t is one exponent for every matrix or an array of one per
     matrix; either way the powers are one pass over the stack (see
@@ -132,6 +133,8 @@ def matrix_power(A, t, spectrum: Optional[SpectralDecomposition] = None) -> np.n
             spectrum = SpectralDecomposition(spectrum[0][None], spectrum[1][None])
         return matrix_power(M[None], t, spectrum)[0]
     t = np.full(len(M), float(t)) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ConfigInvalid(f"power needs a finite exponent, got {t[~np.isfinite(t)][0]}")
     values = set(t.tolist())
     if not values & {0.0, 1.0}:
         w, U = eigh(M) if spectrum is None else spectrum

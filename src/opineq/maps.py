@@ -130,7 +130,8 @@ def apply_map(phi: MapSpec, A) -> np.ndarray:
 def map_plan(phis, n: int):
     """The maps phis of dimension n, all of one output dimension, grouped
     once: the returned function maps a (T, n, n) stack, matrix i under
-    phis[i], or S such stacks at once as (S, T, n, n).
+    phis[i], or S such stacks at once as (S, T, n, n); a stack whose
+    map axis T does not hold one matrix per map raises DimensionMismatch.
 
     The block-diagonal kinds run as one masked copy over their stacked
     masks (each spec's mask is made once), the trace averages as one
@@ -151,10 +152,12 @@ def map_plan(phis, n: int):
         rows.setdefault("masked" if phi.kind in _MASKED else phi.kind, []).append(i)
     steps = [(_row_index(idx, len(phis)), _kind_step(kind, [phis[i] for i in idx], k))
              for kind, idx in rows.items()]
-    if len(steps) == 1:  # one kind's step maps every matrix
-        return steps[0][1]
 
     def apply(X: np.ndarray) -> np.ndarray:
+        if X.shape[-3:-2] != (len(phis),):
+            raise DimensionMismatch(f"need one matrix per map, got {len(phis)} maps for shape {X.shape}")
+        if len(steps) == 1:  # one kind's step maps every matrix
+            return steps[0][1](X)
         out = np.empty(X.shape[:-2] + (k, k), dtype=np.complex128)
         for idx, step in steps:
             out[..., idx, :, :] = step(X[..., idx, :, :])

@@ -47,6 +47,7 @@ from .errors import (
     WeightOutOfRange,
     ConfigInvalid,
     DegenerateInterval,
+    NonHermitianInput,
 )
 from .linalg import SpectralDecomposition, eigh, hermitize, matrix_power, op_norm, per_matrix, spectral_norm
 from .maps import MapSpec, map_plan
@@ -85,10 +86,10 @@ class RegistryEntry:
     suite exercises it.
 
     kinds: the bounds kinds the spectral hypothesis accepts.
-    sides: Operands -> ("loewner", lhs, rhs), checked as lhs <= c * rhs, or
-    ("norm", lhs_norm, rhs_norm), checked as lhs_norm <= c * rhs_norm, with
-    one matrix or norm per case of the stack; the sides never carry the
-    constant c.
+    sides: Operands -> (lhs, rhs), (T, k, k) stacks with one matrix per
+    case, checked as lhs <= c * rhs in Loewner order; a norm inequality
+    returns its norms as (T, 1, 1) stacks, for which that order is the
+    order of the numbers.  The sides never carry the constant c.
     constant: (bounds, params) -> the scalar c the statement places in
     front of one side.
     domain: (bounds, params) -> None, or the clause of the power range the
@@ -157,8 +158,8 @@ def _p_at_least_2alpha(bounds, prm):
 
 # --- sides ------------------------------------------------------------------
 # Each takes the Operands of a stack (T, n, n) with arrays of T values and
-# returns its two sides as stacks, or as arrays of T norms.  Scalar
-# arithmetic runs per case in Python floats, as it would alone.
+# returns its two sides as stacks, a norm row's as (T, 1, 1) stacks of its
+# norms.  Scalar arithmetic runs per case in Python floats, as it would alone.
 
 def _squares(norms):
     return np.array([float(v) ** 2 for v in norms])
@@ -170,34 +171,34 @@ def _phi(x, *Xs):
 
 
 def _amgm(x):
-    return "loewner", geometric_mean(x.A, x.B, x.nu, x.sA), arithmetic_mean(x.A, x.B, x.nu)
+    return geometric_mean(x.A, x.B, x.nu, x.sA), arithmetic_mean(x.A, x.B, x.nu)
 
 
 def _power_monotone(x):
     PA, PB = matrix_power(x.A, x.p, x.sA), matrix_power(x.B, x.p, x.sB)
     # the lower operand's power on the left: B's where B is the lower bound
     swap = per_matrix(np.array([b.kind == "sandwich_B_low" for b in x.bounds]))
-    return "loewner", np.where(swap, PB, PA), np.where(swap, PA, PB)
+    return np.where(swap, PB, PA), np.where(swap, PA, PB)
 
 
 def _choi(x):
     pa, pai = _phi(x, x.A, matrix_power(x.A, -1.0, x.sA))
-    return "loewner", matrix_power(pa, -1.0), pai
+    return matrix_power(pa, -1.0), pai
 
 
 def _lemma22_i(x):
-    return "norm", spectral_norm(x.A @ x.B), 0.25 * _squares(op_norm(x.A + x.B))
+    return per_matrix(spectral_norm(x.A @ x.B)), per_matrix(0.25 * _squares(op_norm(x.A + x.B)))
 
 
 def _lemma22_ii(x):
     a = x.alpha
     lhs = op_norm(matrix_power(x.A, a, x.sA) + matrix_power(x.B, a, x.sB))
-    return "norm", lhs, op_norm(matrix_power(x.A + x.B, a))
+    return per_matrix(lhs), per_matrix(op_norm(matrix_power(x.A + x.B, a)))
 
 
 def _lemma22_iii(x):
     t = _squares(spectral_norm(matrix_power(x.A, 0.5, x.sA) @ matrix_power(x.B, -0.5, x.sB)))
-    return "loewner", x.A, per_matrix(t) * x.B
+    return x.A, per_matrix(t) * x.B
 
 
 def _lemma23(x):
@@ -209,23 +210,18 @@ def _lemma23(x):
     k = np.array([kantorovich(math.sqrt(b.hp)) ** e for b, e in zip(x.bounds, r1)])
     scaled = per_matrix(k) * geometric_mean(Ai, Bi, x.nu, Si)
     lhs = per_matrix(np.array([2.0 * v for v in r])) * defect + scaled
-    return "loewner", lhs, arithmetic_mean(Ai, Bi, x.nu)
+    return lhs, arithmetic_mean(Ai, Bi, x.nu)
 
 
-def _both_means(x):
-    """Phi(A #_nu B) and Phi(A) #_nu Phi(B), from one application of the maps."""
+def _map_domination(x):
+    """Phi(A #_nu B) against Phi(A) #_nu Phi(B), from one application of the maps."""
     mapped_mean, pa, pb = _phi(x, geometric_mean(x.A, x.B, x.nu, x.sA), x.A, x.B)
     return mapped_mean, geometric_mean(pa, pb, x.nu)
 
 
-def _map_domination(x):
-    mapped_mean, mean_of_maps = _both_means(x)
-    return "loewner", mapped_mean, mean_of_maps
-
-
 def _reverse_domination(x):
-    mapped_mean, mean_of_maps = _both_means(x)
-    return "loewner", mean_of_maps, mapped_mean
+    mapped_mean, mean_of_maps = _map_domination(x)
+    return mean_of_maps, mapped_mean
 
 
 def _outer(x):
@@ -236,7 +232,7 @@ def _outer(x):
 def _norm_refinement(x):
     m, M = _outer(x)
     plain, fat = _phi(x, arithmetic_mean(x.A, x.B, x.nu), bracket_term(x.A, x.B, m, M, x.nu, (x.sA, x.sB)))
-    return "norm", op_norm(matrix_power(plain, x.p)), op_norm(matrix_power(fat, x.p))
+    return per_matrix(op_norm(matrix_power(plain, x.p))), per_matrix(op_norm(matrix_power(fat, x.p)))
 
 
 def _reverse_power(x, left):
@@ -248,8 +244,7 @@ def _reverse_power(x, left):
         blocks = x.phi(np.array([left, geometric_mean(x.A, x.B, x.nu, x.sA)]))
     # both blocks raised to p as one stack
     p = np.tile(x.p, 2)
-    lhs, rhs = matrix_power(blocks.reshape((-1,) + blocks.shape[-2:]), p).reshape(blocks.shape)
-    return "loewner", lhs, rhs
+    return tuple(matrix_power(blocks.reshape((-1,) + blocks.shape[-2:]), p).reshape(blocks.shape))
 
 
 def _reverse_am(x):
@@ -502,14 +497,16 @@ def check_block(cases, tol: float = DEFAULT_TOL) -> list[Verdict]:
     A case's hypothesis and constant are checked first, then the containment
     of its spectra in the hypothesis intervals (one decomposition of A and
     of B per case serves the containment and every power of A and B), then
-    the sides.  A failing verdict carries a certificate that does not trust
-    the eigensolver.  For a Loewner entry, x is the computed lambda_min
-    eigenvector of D = hermitize(rhs - lhs), and the Rayleigh quotient
-    x*Dx / x*x, an upper bound on lambda_min(D) for any x, is evaluated
-    directly; norm entries take their scalar gap.  `confirmed` is True when
-    that value is below -tol * (1 + ||rhs||) by more than the rounding
-    allowance CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with
-    CERT_ROUNDING = 16 and n the dimension.
+    the sides.  A side, or their difference, that overflows raises
+    ConfigInvalid naming the case.  Every entry, a norm inequality as the
+    1 x 1 case, takes the gap lambda_min(D) of D = hermitize(rhs - lhs).
+    A failing verdict carries a certificate that does not trust the
+    eigensolver: x is the computed lambda_min eigenvector of D, and the
+    Rayleigh quotient x*Dx / x*x, an upper bound on lambda_min(D) for any
+    x, is evaluated directly.  `confirmed` is True when that value is below
+    -tol * (1 + ||rhs||) by more than the rounding allowance
+    CERT_ROUNDING * n * eps * (||lhs|| + ||rhs||), with CERT_ROUNDING = 16
+    and n the dimension.
     """
     return check_rows([admit(case) for case in cases], tol)
 
@@ -575,47 +572,45 @@ def _check_stack(rows: list, tol: float) -> list[Verdict]:
     phi = map_plan([row.case.phi for row in rows], A.shape[-1]) if rows[0].entry.uses_phi else None
     left = [row.entry.constant_left for row in rows]
     c = [row.c for row in rows]
-    # an overflowing side is reported by the check below, not as a warning
+    # an overflowing side is reported by the check below, not as a warning;
+    # A and B have passed the Hermitian gate, so a side that fails it holds
+    # a non-finite intermediate, such as an overflowed power
     with np.errstate(over="ignore", invalid="ignore"):
-        kind, lhs, rhs = sides(Operands(
-            A, B, sA, sB, phi, [inst.bounds for inst in insts], nu, p, alpha, outside,
-        ))
+        try:
+            lhs, rhs = sides(Operands(
+                A, B, sA, sB, phi, [inst.bounds for inst in insts], nu, p, alpha, outside,
+            ))
+        except NonHermitianInput:
+            if T > 1:  # alone, the row that overflows names itself
+                return [verdict for row in rows for verdict in _check_stack([row], tol)]
+            lhs = rhs = np.full((1, 1, 1), np.nan)
         lhs = _scaled(lhs, c, left)
         rhs = _scaled(rhs, c, [not x for x in left])
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-        axes = tuple(range(1, np.ndim(lhs)))
-        finite = np.isfinite(lhs).all(axis=axes) & np.isfinite(rhs).all(axis=axes)
+        # D = hermitize(rhs - lhs), lhs and rhs as one stack: one LAPACK call
+        # gives D's lambda_min and eigenvectors and both sides' norms
+        S = np.array([hermitize(rhs - lhs), lhs, rhs])
+    finite = np.isfinite(S).all(axis=(0, 2, 3))
+    if not finite.all():
         row = rows[int(np.argmin(finite))]
         raise ConfigInvalid(
             f"{row.entry.ineq_id}: a side overflows at p = {row.params.p:g}, "
             f"bounds {row.case.instance.bounds.to_dict()}"
         )
-    if kind == "norm":
-        lhs_norm, rhs_norm = lhs, rhs
-        gap = rhs_norm - lhs_norm
-    else:
-        # D, lhs and rhs as one stack: one LAPACK call gives D's lambda_min
-        # and eigenvectors and both sides' norms
-        D = hermitize(rhs - lhs)
-        w, V = eigh(np.array([D, lhs, rhs]).reshape((-1,) + D.shape[-2:]))
-        w = w.reshape(3, len(rows), -1)
-        gap = w[0, :, 0]
-        lhs_norm, rhs_norm = np.maximum(abs(w[1:, :, 0]), abs(w[1:, :, -1]))
-        D, V = D.reshape((-1,) + D.shape[-2:]), V[:len(rows)]
+    w, V = eigh(S.reshape((-1,) + S.shape[-2:]))
+    w = w.reshape(3, T, -1)
+    gap = w[0, :, 0]
+    lhs_norm, rhs_norm = np.maximum(abs(w[1:, :, 0]), abs(w[1:, :, -1]))
     relative_gap = gap / (1.0 + rhs_norm)
     verdicts = []
     for i, row, g, rg, ln, rn in zip(
-        range(len(rows)), rows, gap.tolist(), relative_gap.tolist(), lhs_norm.tolist(),
-        rhs_norm.tolist(),
+        range(T), rows, gap.tolist(), relative_gap.tolist(), lhs_norm.tolist(), rhs_norm.tolist(),
     ):
         inst, phi = row.case.instance, row.case.phi
         holds = rg >= -tol
         confirmed = None
         if not holds:
-            certified = g
-            if kind == "loewner":
-                x = V[i][:, 0]
-                certified = float(np.vdot(x, D[i] @ x).real / np.vdot(x, x).real)
+            x = V[i][:, 0]
+            certified = np.vdot(x, S[0, i] @ x).real / np.vdot(x, x).real
             allowance = CERT_ROUNDING * inst.n * np.finfo(float).eps * (ln + rn)
             confirmed = bool(certified < -tol * (1.0 + rn) - allowance)
         echo = {
@@ -631,8 +626,7 @@ def _scaled(X, c: list, rows: list):
     """X with the chosen rows multiplied by their constant c."""
     if not any(rows):
         return X
-    shape = (-1,) + (1,) * (X.ndim - 1)
-    return np.where(np.reshape(rows, shape), np.reshape(c, shape) * X, X)
+    return np.where(np.reshape(rows, (-1, 1, 1)), np.reshape(c, (-1, 1, 1)) * X, X)
 
 
 def scalar_lemma_gap(x: float, nu: float) -> float:
@@ -644,8 +638,6 @@ def scalar_lemma_gap(x: float, nu: float) -> float:
     """
     if x <= 0.0:
         raise NonPositiveArgument(f"need x > 0, got {x}")
-    if not 0.0 <= nu <= 1.0:
-        raise WeightOutOfRange(f"nu must be in [0, 1], got {nu}")
     r, r1 = weights(nu)
     root = math.sqrt(x)
     return (

@@ -7,7 +7,8 @@ reference draws, scalar Box-Muller and Gram-Schmidt Haar frames,
 which share only the generator's scalar `next_float` stream with it; the
 block-diagonal maps as index copies and the other map kinds one matrix at a
 time; and both sides of a few registry statements, one case at a time,
-through plain ``np.linalg.eigh`` and the textbook formulas.
+through plain ``np.linalg.eigh`` and the textbook formulas, the norm
+statements' through ``np.linalg.norm``.
 """
 
 import math
@@ -182,6 +183,24 @@ def statement_sides(ineq_id, A, B, nu, p, blocks, m, M):
     if ineq_id == "thm1.1-phi-outside":
         c = ((M + m) ** 2 / (4.0 ** (2.0 / p) * M * m)) ** p
         return power((A + B) / 2.0, p), c * power(geometric_mean(A, B, 0.5), p)
+    raise KeyError(ineq_id)
+
+
+def norm_sides(ineq_id, A, B, nu, p, alpha, kind, payload, m, M):
+    """(lhs, rhs) of a norm statement lhs <= rhs as two numbers, through
+    np.linalg.norm(., 2): the lemma 2.2 bounds, and norm-refinement under
+    the catalog map of the given kind and payload with outer bounds m, M."""
+    norm = lambda X: float(np.linalg.norm(X, 2))
+    if ineq_id == "lemma2.2-i":
+        return norm(A @ B), 0.25 * norm(A + B) ** 2
+    if ineq_id == "lemma2.2-ii":
+        return norm(power(A, alpha) + power(B, alpha)), norm(power(A + B, alpha))
+    if ineq_id == "norm-refinement":
+        r = min(nu, 1.0 - nu)
+        Ai, Bi = np.linalg.inv(A), np.linalg.inv(B)
+        plain = (1.0 - nu) * A + nu * B
+        bracket = plain + 2.0 * r * M * m * ((Ai + Bi) / 2.0 - geometric_mean(Ai, Bi, 0.5))
+        return tuple(norm(power(map_image(kind, payload, X), p)) for X in (plain, bracket))
     raise KeyError(ineq_id)
 
 

@@ -166,6 +166,21 @@ def test_unevaluable_numbers_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--ineq", "norm-refinement", "--p", "5000"),
+    ("--ineq", "lemma2.2-i", "--m", "1", "--M", "1e160"),
+    ("--ineq", "lemma2.2-ii", "--alpha", "2", "--m", "1", "--M", "1e160"),
+    ("--ineq", "thm1.1-phi-inside", "--p", "52.6", "--m", "1", "--M", "1000"),
+])
+def test_overflowing_side_of_every_row_exits_2(capsys, flags):
+    """A side that overflows, inside a norm row's own decomposition or in
+    the difference of the sides, is named as such (numpy's warnings are
+    test errors here, so none is printed)."""
+    code, _, err = run_cli(capsys, "verify", "--n", "2", "--trials", "3", "--seed", "1", *flags)
+    assert code == 2
+    assert f"error: {flags[1]}, n = 2, trial 0: a side overflows" in err
+
+
 @pytest.mark.parametrize("alpha", ["nan", "0.5", "3"])
 def test_verify_bad_alpha_is_reported_as_alpha(capsys, alpha):
     """thm2.10 derives p = 2 alpha, so a bad alpha must be named as such,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opineq.errors import (
+    ConfigInvalid,
     DimensionMismatch,
     NonHermitianInput,
     NotPositiveSemidefinite,
@@ -251,6 +252,20 @@ def test_matrix_power_negative_requires_invertible():
     S = np.diag([0.0, 1.0])
     with pytest.raises(SingularMatrix):
         matrix_power(S, -1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_matrix_power_rejects_a_non_finite_exponent(t):
+    """A NaN, +inf or -inf exponent raises ConfigInvalid, as a non-finite p
+    does in CaseParams, on a matrix and on any entry of a stack's exponents,
+    instead of a NaN matrix, an OverflowError or a singular limit."""
+    D = np.diag([1.0, 4.0])
+    with pytest.raises(ConfigInvalid, match="finite exponent"):
+        matrix_power(D, t)
+    with pytest.raises(ConfigInvalid, match="finite exponent"):
+        matrix_power(np.stack([D, D]), t)
+    with pytest.raises(ConfigInvalid, match="finite exponent"):
+        matrix_power(np.stack([D, D]), np.array([2.0, t]))
 
 
 def test_loewner_gap_values():

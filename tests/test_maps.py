@@ -285,3 +285,21 @@ def test_map_plan_takes_one_output_dimension():
     for phis in ([V, MapSpec("identity", 3)], [MapSpec("identity", 3), V]):
         with pytest.raises(DimensionMismatch, match="output dimensions"):
             map_plan(phis, 3)
+
+
+@pytest.mark.parametrize("phis", [
+    [MapSpec("identity", 2), MapSpec("trace_average", 2)],
+    [MapSpec("identity", 2), MapSpec("diagonal", 2)],
+    [MapSpec("identity", 2)] * 4,
+])
+def test_map_plan_needs_one_matrix_per_map(phis):
+    """A stack whose map axis does not hold one matrix per map is refused,
+    for plans of mixed kinds and of one kind alike, never mapped from
+    uninitialised rows or numpy's broadcast error."""
+    X = np.stack([np.eye(2, dtype=np.complex128)] * 3)
+    plan = map_plan(phis, 2)
+    with pytest.raises(DimensionMismatch, match="one matrix per map"):
+        plan(X)
+    with pytest.raises(DimensionMismatch, match="one matrix per map"):
+        plan(np.stack([X, X]))
+    assert plan(np.stack([np.eye(2)] * len(phis))).shape == (len(phis), 2, 2)

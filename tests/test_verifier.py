@@ -353,6 +353,49 @@ def test_norm_form_entries_report_scalars():
         assert v.gap == pytest.approx(v.rhs_norm - v.lhs_norm, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_norm_rows_match_their_statements(n):
+    """The norm rows, checked as 1 x 1 Loewner rows, report the statement's
+    two norms (within 1e-12 relative of np.linalg.norm in tests/oracles.py)
+    and their exact difference as the gap, on suite-drawn cases."""
+    from opineq.suite import SuiteConfig, _draw_chunk
+
+    cfg = SuiteConfig(trials=12, seed=5)
+    cases = [case for ineq_id in ("lemma2.2-i", "lemma2.2-ii", "norm-refinement")
+             for case in _draw_chunk(cfg, n, [(ineq_id, t) for t in range(cfg.trials)])]
+    for case, v in zip(cases, check_block(cases)):
+        prm, bounds = verifier.admit(case).params, case.instance.bounds
+        refinement = case.ineq_id == "norm-refinement"
+        lhs, rhs = oracles.norm_sides(
+            case.ineq_id, case.instance.A, case.instance.B, prm.nu, prm.p, prm.alpha,
+            *((case.phi.kind, case.phi.payload) + bounds.outer() if refinement else (None,) * 4),
+        )
+        assert v.gap == v.rhs_norm - v.lhs_norm, case.ineq_id
+        assert abs(v.lhs_norm - lhs) <= 1e-12 * lhs, (case.ineq_id, v.lhs_norm, lhs)
+        assert abs(v.rhs_norm - rhs) <= 1e-12 * rhs, (case.ineq_id, v.rhs_norm, rhs)
+        assert v.holds, case.ineq_id
+
+
+def test_overflow_in_any_side_is_config_invalid():
+    """A side, or the difference of the sides, that overflows raises
+    ConfigInvalid naming the case, for Loewner and norm rows alike, also
+    where the overflow surfaces inside a side's own decomposition."""
+    common = SandwichBounds.common(1.0, 4.0)
+    amgm = make_case("amgm", 4.0 * I2, I2, common, nu=0.5)
+    with pytest.raises(ConfigInvalid, match="amgm: a side overflows"):
+        check_case(replace(amgm, scale=1e308))
+    refinement = make_case("norm-refinement", 4.0 * I2, I2, common, phi=MapSpec("identity", 2), nu=0.5)
+    with pytest.raises(ConfigInvalid, match="norm-refinement: a side overflows"):
+        check_case(replace(refinement, scale=1e308))
+    with pytest.raises(ConfigInvalid, match="norm-refinement: a side overflows at p = 5000"):
+        check_case(replace(refinement, params=CaseParams(nu=0.5, p=5000.0)))
+    # in a stack, the case whose side overflows is the one named
+    huge = make_case("lemma2.2-i", 1e160 * I2, I2, SandwichBounds.common(1.0, 1e160))
+    fine = make_case("lemma2.2-i", 4.0 * I2, I2, common)
+    with pytest.raises(ConfigInvalid, match="lemma2.2-i: a side overflows .*1e\\+160"):
+        check_block([fine, huge])
+
+
 def test_every_entry_checks_one_sampled_case():
     """Each registry entry accepts a case built the way the suite builds them."""
     from opineq.suite import SuiteConfig, _draw_chunk
